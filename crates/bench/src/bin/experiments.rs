@@ -497,7 +497,7 @@ fn main() {
 
     if want("sockets") {
         let explicit = opts.experiments.iter().any(|e| e == "sockets");
-        match rads_bench::procs::sibling_node_binary() {
+        match rads_serve::procs::sibling_node_binary() {
             Ok(node_binary) => {
                 println!(
                     "== Sockets: real {}-process UDS cluster vs the simulated transport (scale {:.2}) ==",
@@ -506,7 +506,7 @@ fn main() {
                 println!("dataset\tquery\tsystem\tembeddings\ttime(ms)\tbytes shipped");
                 // asserts internally that the multi-process cluster's counts
                 // equal the in-process transport's on every query
-                let rows = rads_bench::procs::socket_vs_simulated(
+                let rows = rads_bench::socket_vs_simulated(
                     DatasetKind::LiveJournal,
                     opts.scale,
                     opts.machines,
@@ -586,7 +586,7 @@ fn main() {
         println!();
 
         let explicit = opts.experiments.iter().any(|e| e == "overlap");
-        match rads_bench::procs::sibling_node_binary() {
+        match rads_serve::procs::sibling_node_binary() {
             Ok(node_binary) => {
                 // Per-query scales: with no network latency to hide, the
                 // async driver's UDS edge is proportional to message count,
@@ -608,7 +608,7 @@ fn main() {
                     opts.machines
                 );
                 println!("dataset\tquery\tsystem\tembeddings\ttime(ms)\tbytes shipped\tspeedup-vs-serial");
-                let uds_rows = rads_bench::procs::overlap_sockets(
+                let uds_rows = rads_bench::overlap_sockets(
                     DatasetKind::LiveJournal,
                     opts.machines,
                     opts.seed,

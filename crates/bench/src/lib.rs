@@ -14,15 +14,17 @@
 //! and [`overlap_speedup`] compares the serial round driver against the
 //! async one (same network, identical counts asserted per query; the
 //! `overlap` rows in `BENCH_results.json` carry its UDS-cluster counterpart
-//! from [`procs::overlap_sockets`] too).
-
-pub mod json;
-pub mod procs;
-pub mod serve;
+//! from [`overlap_sockets`] too).
+//!
+//! The production serving path (the `rads-node` / `rads-query` binaries and
+//! the cluster lifecycle behind them) lives in `rads-serve`; this crate
+//! uses it only to drive a real multi-process cluster from the `sockets`
+//! and `overlap` experiments ([`socket_vs_simulated`], [`overlap_sockets`])
+//! and for its JSON reader.
 
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use rads_baselines::{run_crystal, run_psgl, run_seed, run_twintwig, CliqueIndex};
 use rads_core::{run_rads, RadsConfig, RoundDriver};
@@ -30,7 +32,10 @@ use rads_datasets::{generate, Dataset, DatasetKind, Scale};
 use rads_graph::{queries, Graph, Pattern};
 use rads_partition::{LabelPropagationPartitioner, PartitionedGraph, Partitioner};
 use rads_plan::{random_min_round_plan, random_star_plan};
-use rads_runtime::{Cluster, NetworkConfig};
+use rads_runtime::{Cluster, NetworkConfig, TransportKind};
+use rads_serve::json;
+use rads_serve::procs::{ClusterSpec, ClusterSummary, FaultPolicy};
+use rads_serve::serve::run_once;
 
 /// The systems compared in the evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -790,6 +795,208 @@ pub fn observe_overhead(
     records
 }
 
+/// The `sockets` experiment: the same queries on the same dataset stand-in
+/// over (a) the in-process channel transport with its *simulated* byte
+/// model and (b) a real multi-process UDS cluster (this process as
+/// coordinator + `machines - 1` spawned `rads-node` workers, launched and
+/// shut down per query by [`run_once`]) counting
+/// *real framed bytes*. Panics if the two transports disagree on any
+/// embedding count — the ground-truth gate of the socket runtime — and
+/// returns a `RADS-sim` / `RADS-uds` record pair per query whose
+/// `bytes_shipped` columns compare the cost model against the wire.
+pub fn socket_vs_simulated(
+    kind: DatasetKind,
+    scale: Scale,
+    machines: usize,
+    seed: u64,
+    query_names: &[&str],
+    node_binary: &Path,
+    timeout: Duration,
+) -> Result<Vec<BenchRecord>, String> {
+    let dataset = generate(kind, scale, seed);
+    // the baseline leg is pinned to the channel simulator: its whole point
+    // is recording the *modelled* bytes, which RADS_TRANSPORT=uds would
+    // silently turn into a second wire measurement
+    let partitioning =
+        LabelPropagationPartitioner::default().partition(&dataset.graph, machines);
+    let cluster = Cluster::with_transport(
+        Arc::new(PartitionedGraph::build(&dataset.graph, partitioning)),
+        TransportKind::InProcess,
+    );
+    let mut records = Vec::new();
+    for &qname in query_names {
+        let pattern = queries::query_by_name(qname).ok_or(format!("unknown query {qname:?}"))?;
+        let config = RadsConfig::default();
+        let workers = config.workers;
+        let sim_start = Instant::now();
+        let sim = run_rads(&cluster, &pattern, &config);
+        let sim_ms = sim_start.elapsed().as_secs_f64() * 1000.0;
+
+        let spec = ClusterSpec {
+            machines,
+            dataset: kind,
+            scale: scale.0,
+            seed,
+            workers,
+            budget: None,
+            driver: config.round_driver,
+            fetch_chunk: None,
+            cache: true,
+            trace_out: None,
+            metrics_out: None,
+            fault_policy: FaultPolicy::default(),
+            chaos_kill_ms: None,
+        };
+        let summary = run_once(&spec, qname, TransportKind::Uds, node_binary, timeout)?;
+        assert_eq!(
+            summary.total_embeddings, sim.total_embeddings,
+            "{qname}: the real-socket cluster deviates from the in-process transport"
+        );
+        // comparable to the sim row's run_rads wall clock: the slowest
+        // machine's *engine* time — the coordinator's own elapsed_ms also
+        // counts process spawning and N independent dataset generations
+        let uds_ms = summary
+            .per_machine
+            .iter()
+            .map(|m| m.elapsed_ms)
+            .fold(0.0f64, f64::max);
+        for (system, bytes, ms) in [
+            ("RADS-sim", sim.traffic.total_bytes, sim_ms),
+            ("RADS-uds", summary.wire_bytes, uds_ms),
+        ] {
+            records.push(BenchRecord {
+                experiment: "sockets".to_string(),
+                dataset: dataset.profile.name.clone(),
+                query: qname.to_string(),
+                system: system.to_string(),
+                machines,
+                workers,
+                embeddings: sim.total_embeddings,
+                elapsed_ms: ms,
+                embeddings_per_sec: embeddings_per_sec(sim.total_embeddings, ms),
+                bytes_shipped: bytes,
+                peak_tracked_bytes: 0,
+                budget_bytes: 0,
+            });
+        }
+    }
+    Ok(records)
+}
+
+/// `fetchV` chunk of the `overlap` experiment's UDS leg. A same-host
+/// socket's round trip is two to three orders of magnitude below a real
+/// network's, so at the production chunk size
+/// ([`rads_core::engine::DEFAULT_FETCH_CHUNK_VERTICES`]) a round's handful
+/// of frames costs microseconds and any driver difference drowns in
+/// scheduling noise. Shrinking the chunk makes each round span as many
+/// round trips as it would when adjacency volume, frame caps or MTU-sized
+/// chunks force it to on a real wire — which is exactly the request
+/// sequence whose latency the async driver exists to overlap. Both drivers
+/// run with the same chunk, so the comparison stays apples to apples.
+pub const OVERLAP_FETCH_CHUNK: usize = 16;
+
+/// The round drivers the `overlap` experiment compares, in record order.
+const OVERLAP_DRIVERS: [RoundDriver; 2] = [RoundDriver::Serial, RoundDriver::Async];
+
+/// Floor on the per-driver rep count of [`overlap_sockets`]. Scheduling
+/// noise on a single-host cluster is one-sided — contention only ever
+/// *adds* time — so the minimum over reps converges to each driver's true
+/// floor, and because the floors sit only a few percent apart when the
+/// whole cluster time-slices one box, a handful of samples is not enough
+/// for the minima to separate reliably. The runs are sub-second, so the
+/// extra reps are cheap.
+pub const OVERLAP_UDS_MIN_REPS: u32 = 9;
+
+/// The `overlap` experiment's real-socket leg: each `(query, scale)` pair
+/// on a real `machines`-process UDS cluster (this process as coordinator
+/// plus spawned `rads-node` workers), once per round driver, with
+/// message-rich rounds ([`OVERLAP_FETCH_CHUNK`]). No artificial latency is
+/// injected — the async driver's edge here comes from keeping every peer
+/// daemon busy at once instead of serving one fetchV chunk per round trip.
+/// Each driver runs `reps` times (at least [`OVERLAP_UDS_MIN_REPS`]) — the
+/// drivers *interleaved* rep by rep, so a drift in the host's available
+/// CPU (this is a whole cluster time-slicing one box) hits both drivers
+/// alike instead of whichever ran its block second — and the fastest
+/// slowest-machine engine time is recorded (the coordinator's own wall
+/// clock also counts process spawning and `machines` independent dataset
+/// generations, which neither driver influences). Panics if the drivers
+/// disagree on any embedding count.
+///
+/// Returns a `RADS-uds-serial` / `RADS-uds-async` record pair per query.
+pub fn overlap_sockets(
+    kind: DatasetKind,
+    machines: usize,
+    seed: u64,
+    queries: &[(&str, Scale)],
+    node_binary: &Path,
+    timeout: Duration,
+    reps: u32,
+) -> Result<Vec<BenchRecord>, String> {
+    let workers = RadsConfig::default().workers;
+    let reps = reps.max(OVERLAP_UDS_MIN_REPS);
+    let mut records = Vec::new();
+    for &(qname, scale) in queries {
+        let mut best: [Option<(f64, ClusterSummary)>; 2] = [None, None];
+        for _ in 0..reps {
+            for (slot, driver) in OVERLAP_DRIVERS.into_iter().enumerate() {
+                let spec = ClusterSpec {
+                    machines,
+                    dataset: kind,
+                    scale: scale.0,
+                    seed,
+                            workers,
+                    budget: None,
+                    driver,
+                    fetch_chunk: Some(OVERLAP_FETCH_CHUNK),
+                    cache: true,
+                    trace_out: None,
+                    metrics_out: None,
+                    fault_policy: FaultPolicy::default(),
+                    chaos_kill_ms: None,
+                };
+                let summary = run_once(&spec, qname, TransportKind::Uds, node_binary, timeout)?;
+                let ms = summary
+                    .per_machine
+                    .iter()
+                    .map(|m| m.elapsed_ms)
+                    .fold(0.0f64, f64::max);
+                if best[slot].as_ref().is_none_or(|(b, _)| ms < *b) {
+                    best[slot] = Some((ms, summary));
+                }
+            }
+        }
+        let mut expected = None;
+        for (slot, driver) in OVERLAP_DRIVERS.into_iter().enumerate() {
+            let (ms, summary) = best[slot].take().expect("reps >= 1");
+            match expected {
+                None => expected = Some(summary.total_embeddings),
+                Some(e) => assert_eq!(
+                    e, summary.total_embeddings,
+                    "{qname}: the async driver changed the count on the UDS cluster"
+                ),
+            }
+            records.push(BenchRecord {
+                experiment: "overlap".to_string(),
+                dataset: summary.dataset.clone(),
+                query: qname.to_string(),
+                system: match driver {
+                    RoundDriver::Serial => "RADS-uds-serial".to_string(),
+                    RoundDriver::Async => "RADS-uds-async".to_string(),
+                },
+                machines,
+                workers,
+                embeddings: summary.total_embeddings,
+                elapsed_ms: ms,
+                embeddings_per_sec: embeddings_per_sec(summary.total_embeddings, ms),
+                bytes_shipped: summary.wire_bytes,
+                peak_tracked_bytes: 0,
+                budget_bytes: 0,
+            });
+        }
+    }
+    Ok(records)
+}
+
 /// Table 1: the dataset profiles.
 pub fn table1(scale: Scale, seed: u64) -> Vec<rads_datasets::DatasetProfile> {
     rads_datasets::generate_all(scale, seed).into_iter().map(|d| d.profile).collect()
@@ -1309,6 +1516,28 @@ mod tests {
         let record = BenchRecord::from_measurement("fig9", &m);
         assert_eq!(record.embeddings_per_sec, 2000.0);
         assert!(record.to_json().contains("\"embeddings_per_sec\":2000.0"));
+    }
+
+    #[test]
+    fn results_json_round_trips_through_the_reader() {
+        let m = Measurement {
+            system: "RADS",
+            dataset: "DBLP".into(),
+            query: "q1".into(),
+            machines: 4,
+            embeddings: 123,
+            elapsed_ms: 1.5,
+            communication_mb: 0.25,
+            peak_intermediate_rows: 7,
+            workers: 2,
+        };
+        let records = vec![BenchRecord::from_measurement("fig9", &m)];
+        let parsed = json::Json::parse(&render_results_json(&records)).unwrap();
+        let rows = parsed.as_array().unwrap();
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].get("experiment").and_then(json::Json::as_str), Some("fig9"));
+        assert_eq!(rows[0].get("embeddings").and_then(json::Json::as_u64), Some(123));
+        assert_eq!(rows[0].get("elapsed_ms").and_then(json::Json::as_f64), Some(1.5));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! now receive every one of those conditions as a [`TransportError`] and
 //! decide what to do — retry idempotent reads, reconnect, recompute, or
 //! surface a structured per-machine report (see the `RADS_FAULT_POLICY`
-//! handling in `rads-bench`).
+//! handling in `rads-serve`).
 //!
 //! The variants mirror the distinct *recovery strategies*, not the
 //! underlying syscalls:

@@ -70,6 +70,6 @@ pub use fault::{FaultPlan, FaultStats, FaultTransport};
 pub use message::{Envelope, QueryId, Request, Response};
 pub use network::{NetworkConfig, NetworkStats, TrafficSnapshot};
 pub use transport::{
-    MetricsPublisher, NodeMonitor, PeerAddr, PendingResponse, SocketListener, SocketNode, Transport,
+    MetricsPublisher, PeerAddr, PendingResponse, SocketListener, SocketNode, Transport,
     TransportKind, BARRIER_TIMEOUT_ENV, TRANSPORT_ENV,
 };

@@ -823,12 +823,13 @@ impl BarrierState {
     }
 }
 
-/// Result payloads collected by the coordinator (indexed by query id and
-/// machine id, so concurrent queries' results collect independently) and
-/// the shutdown flag a worker waits on.
+/// Result payloads collected by the coordinator (one slot per *expected*
+/// query, indexed by machine id inside it, so concurrent queries' results
+/// collect independently and a report nobody waits for is dropped on
+/// arrival) and the shutdown flag a worker waits on.
 #[derive(Default)]
 struct ControlState {
-    results: StdMutex<HashMap<(u64, MachineId), Vec<u8>>>,
+    results: StdMutex<HashMap<u64, HashMap<MachineId, Vec<u8>>>>,
     /// Latest metrics snapshot received from each machine (newer frames
     /// replace older ones — each frame carries a full snapshot).
     metrics: StdMutex<HashMap<MachineId, Vec<u8>>>,
@@ -1159,17 +1160,28 @@ impl SocketNode {
         self.shared.control.heartbeats.lock().expect("heartbeat lock").clone()
     }
 
-    /// A lightweight liveness handle sharing this node's state, for a
-    /// thread that does not own the node (the coordinator's main thread
-    /// watches heartbeats while its engine thread owns the `SocketNode`).
-    pub fn monitor(&self) -> NodeMonitor {
-        NodeMonitor { shared: self.shared.clone() }
+    /// Coordinator: opens the result slot of `query`. Only result frames of
+    /// an expected query are kept; call this before dispatching the query,
+    /// and close the slot again with a successful
+    /// [`wait_results`](SocketNode::wait_results) or with
+    /// [`abandon_results`](SocketNode::abandon_results).
+    pub fn expect_results(&self, query: QueryId) {
+        self.shared.control.results.lock().expect("results lock").entry(query.0).or_default();
+    }
+
+    /// Coordinator: closes the result slot of a query that failed or timed
+    /// out, dropping the reports that already arrived; reports that arrive
+    /// later are discarded on arrival.
+    pub fn abandon_results(&self, query: QueryId) {
+        self.shared.control.results.lock().expect("results lock").remove(&query.0);
     }
 
     /// Coordinator: blocks until every machine in `from` delivered a result
-    /// frame for `query`, or `timeout` elapsed. Returns the payloads in
-    /// `from` order. Result frames of *other* queries are left untouched,
-    /// so concurrent per-query waiters never steal each other's results.
+    /// frame for the expected `query`, or `timeout` elapsed. On success the
+    /// slot is closed and the payloads returned in `from` order; on timeout
+    /// the machines still missing are returned and the slot stays open.
+    /// Result frames of *other* queries are left untouched, so concurrent
+    /// per-query waiters never steal each other's results.
     pub fn wait_results(
         &self,
         query: QueryId,
@@ -1179,19 +1191,15 @@ impl SocketNode {
         let deadline = Instant::now() + timeout;
         let mut results = self.shared.control.results.lock().expect("results lock");
         loop {
-            if from.iter().all(|m| results.contains_key(&(query.0, *m))) {
-                return Ok(from
-                    .iter()
-                    .map(|m| results.remove(&(query.0, *m)).expect("present"))
-                    .collect());
+            let slot = results.get(&query.0);
+            let arrived = |m: &MachineId| slot.is_some_and(|slot| slot.contains_key(m));
+            if from.iter().all(arrived) {
+                let mut slot = results.remove(&query.0).unwrap_or_default();
+                return Ok(from.iter().map(|m| slot.remove(m).expect("present")).collect());
             }
             let now = Instant::now();
             if now >= deadline {
-                return Err(from
-                    .iter()
-                    .copied()
-                    .filter(|m| !results.contains_key(&(query.0, *m)))
-                    .collect());
+                return Err(from.iter().copied().filter(|m| !arrived(m)).collect());
             }
             let (guard, _) = self
                 .shared
@@ -1232,30 +1240,12 @@ impl SocketNode {
         MetricsPublisher { shared: self.shared.clone(), to }
     }
 
-    /// Coordinator: drains the latest metrics snapshot received from each
-    /// machine, sorted by machine id. Frames that arrive later replace
-    /// earlier ones, so after the result frames are in (results are sent
-    /// *after* the final metrics frame on the same ordered connection) this
-    /// holds each worker's final snapshot.
-    pub fn take_metrics(&self) -> Vec<(MachineId, Vec<u8>)> {
-        let mut drained: Vec<(MachineId, Vec<u8>)> = self
-            .shared
-            .control
-            .metrics
-            .lock()
-            .expect("metrics lock")
-            .drain()
-            .collect();
-        drained.sort_by_key(|(machine, _)| *machine);
-        drained
-    }
-
     /// Coordinator: the latest metrics snapshot received from each machine,
-    /// sorted by machine id — like [`take_metrics`](SocketNode::take_metrics)
-    /// but *non-destructive*. The serve scheduler reads this to take a
-    /// per-query epoch baseline while other queries are still in flight:
-    /// draining here would steal the snapshots a concurrent query's delta
-    /// computation depends on.
+    /// sorted by machine id (newer frames replace older ones). Reading is
+    /// non-destructive: concurrent queries each take their own epoch
+    /// baseline from it. A machine's result frame follows its final metrics
+    /// frame on the same ordered connection, so once a query's results are
+    /// in, this covers them.
     pub fn latest_metrics(&self) -> Vec<(MachineId, Vec<u8>)> {
         let mut cloned: Vec<(MachineId, Vec<u8>)> = self
             .shared
@@ -1324,27 +1314,6 @@ impl SocketNode {
 pub struct MetricsPublisher {
     shared: Arc<NodeShared>,
     to: MachineId,
-}
-
-/// A read-only liveness view of a running [`SocketNode`]
-/// ([`SocketNode::monitor`]): heartbeat recency and reconnect counts,
-/// observable from a thread that does not own the node. The coordinator's
-/// worker-loss detector polls this while the engine thread runs.
-#[derive(Clone)]
-pub struct NodeMonitor {
-    shared: Arc<NodeShared>,
-}
-
-impl NodeMonitor {
-    /// See [`SocketNode::heartbeats`].
-    pub fn heartbeats(&self) -> HashMap<MachineId, Instant> {
-        self.shared.control.heartbeats.lock().expect("heartbeat lock").clone()
-    }
-
-    /// See [`SocketNode::reconnects`].
-    pub fn reconnects(&self) -> u64 {
-        self.shared.reconnects.load(Ordering::Relaxed)
-    }
 }
 
 impl MetricsPublisher {
@@ -1488,13 +1457,17 @@ fn serve_connection(shared: Arc<NodeShared>, mut stream: SocketStream) {
             }
             FrameKind::Result => {
                 let from = frame.correlation as MachineId;
+                if from >= shared.machines() {
+                    return;
+                }
                 shared.control.record_heartbeat(from);
-                shared
-                    .control
-                    .results
-                    .lock()
-                    .expect("results lock")
-                    .insert((frame.query.0, from), frame.payload);
+                // a report for a query nobody expects (it failed, timed out,
+                // or never existed) is dropped
+                if let Some(slot) =
+                    shared.control.results.lock().expect("results lock").get_mut(&frame.query.0)
+                {
+                    slot.insert(from, frame.payload);
+                }
                 shared.control.condvar.notify_all();
             }
             FrameKind::Metrics => {

@@ -138,7 +138,7 @@ pub enum FrameKind {
     Continue,
     /// Serving mode, client → serve coordinator: a query submission on a
     /// client connection. The payload layout is owned by the serve layer
-    /// (`rads-bench`); the correlation id is a client-chosen request id the
+    /// (`rads-serve`); the correlation id is a client-chosen request id the
     /// server echoes in the [`FrameKind::QueryResult`] reply.
     Query,
     /// Serving mode, serve coordinator → client: the reply to the `Query`

@@ -8,14 +8,19 @@
 //! The fuzz loops are deterministic (a fixed-seed xorshift generator), so a
 //! failure reproduces byte-for-byte.
 
-use std::io;
+use std::io::{self, Read};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use rads_runtime::wire::{
     decode_request, decode_response, encode_request, encode_response, read_frame, read_message,
     version_byte, write_frame, write_message_with_cap, FrameKind, WireError, CONTINUE_SEQ_BYTES,
     FRAME_HEADER_BYTES, MAX_FRAME_BYTES,
 };
-use rads_runtime::{QueryId, Request, Response};
+use rads_runtime::{
+    Daemon, Envelope, NetworkStats, PeerAddr, QueryId, Request, Response, SocketListener,
+    SocketNode,
+};
 
 /// Deterministic xorshift64* stream — the whole suite's only randomness.
 struct Rng(u64);
@@ -318,4 +323,111 @@ fn frame_header_constant_matches_the_wire() {
         write_frame(&mut wire, FrameKind::Shutdown, 0, QueryId::SOLO, &[]).expect("write");
     assert_eq!(written, FRAME_HEADER_BYTES);
     assert_eq!(wire.len(), FRAME_HEADER_BYTES);
+}
+
+struct NoDaemon;
+
+impl Daemon for NoDaemon {
+    fn handle(&self, _from: usize, _envelope: Envelope) -> Response {
+        Response::Unsupported
+    }
+}
+
+/// A result frame names its sender in the correlation id — input from the
+/// wire, so a node must range-check it like the metrics arm does: a stray
+/// or corrupt frame claiming machine 99 of a 2-machine cluster gets the
+/// connection dropped and leaves no phantom machine in the heartbeat map.
+#[test]
+fn a_result_frame_from_an_out_of_range_machine_is_rejected() {
+    let listener =
+        SocketListener::bind(&PeerAddr::Tcp("127.0.0.1:0".to_string())).expect("bind");
+    let PeerAddr::Tcp(addr) = listener.local_addr().expect("bound address") else {
+        unreachable!("a TCP listener has a TCP address")
+    };
+    let addrs = vec![PeerAddr::Tcp(addr.clone()), PeerAddr::Tcp("127.0.0.1:1".to_string())];
+    let node = SocketNode::start_with_listener(
+        0,
+        addrs,
+        listener,
+        Arc::new(NoDaemon),
+        Arc::new(NetworkStats::new(2)),
+    );
+    let query = QueryId(5);
+    node.expect_results(query);
+
+    let mut peer = std::net::TcpStream::connect(&addr).expect("connect");
+    peer.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+    write_frame(&mut peer, FrameKind::Hello, 0, QueryId::SOLO, &1u32.to_le_bytes()).expect("hello");
+    write_frame(&mut peer, FrameKind::Result, 99, query, b"phantom").expect("result");
+    // the node answers a protocol violation by closing the connection
+    let mut byte = [0u8; 1];
+    assert_eq!(peer.read(&mut byte).expect("closed, not left open"), 0);
+
+    assert!(!node.heartbeats().contains_key(&99), "phantom machine in the heartbeat map");
+    assert_eq!(node.wait_results(query, &[99], Duration::from_millis(10)), Err(vec![99]));
+    node.finish_shutdown();
+}
+
+/// `machines` socket nodes of one loopback cluster, all in this process.
+fn loopback_nodes(machines: usize) -> Vec<SocketNode> {
+    let listeners: Vec<SocketListener> = (0..machines)
+        .map(|_| SocketListener::bind(&PeerAddr::Tcp("127.0.0.1:0".to_string())).expect("bind"))
+        .collect();
+    let addrs: Vec<PeerAddr> =
+        listeners.iter().map(|l| l.local_addr().expect("bound address")).collect();
+    let stats = Arc::new(NetworkStats::new(machines));
+    listeners
+        .into_iter()
+        .enumerate()
+        .map(|(machine, listener)| {
+            let daemon = Arc::new(NoDaemon);
+            SocketNode::start_with_listener(machine, addrs.clone(), listener, daemon, stats.clone())
+        })
+        .collect()
+}
+
+fn poll_until(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting until {what}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// A query that failed or timed out after dispatch must leave nothing in
+/// the coordinator's result map: the reports that already arrived are
+/// dropped with the slot, and the ones that arrive later are discarded.
+#[test]
+fn an_abandoned_query_leaves_no_reports_behind() {
+    let nodes = loopback_nodes(3);
+    let query = QueryId(7);
+    let nothing_kept = |machines: &[usize]| {
+        // a fresh slot for the same query must start empty
+        nodes[0].expect_results(query);
+        let missing = nodes[0].wait_results(query, machines, Duration::ZERO).expect_err("empty");
+        nodes[0].abandon_results(query);
+        missing == machines
+    };
+    nodes[0].expect_results(query);
+    // a partial set: machine 1 reports, machine 2 is late
+    nodes[1].send_result(0, query, b"one").expect("deliver");
+    poll_until("machine 1's report is in", || {
+        nodes[0].wait_results(query, &[1, 2], Duration::from_millis(20)) == Err(vec![2])
+    });
+    nodes[0].abandon_results(query);
+    assert!(nothing_kept(&[1, 2]), "the partial set outlived its query");
+    // the late report travels ahead of a metrics frame on the same ordered
+    // connection: once the metrics frame is in, the report has been seen
+    nodes[2].send_result(0, query, b"two").expect("deliver");
+    assert!(nodes[2].metrics_publisher(0).send(b"late"));
+    poll_until("machine 2's frames are in", || {
+        nodes[0].latest_metrics().iter().any(|(machine, _)| *machine == 2)
+    });
+    assert!(nothing_kept(&[1, 2]), "a late report was kept for an abandoned query");
+    for node in &nodes {
+        node.begin_shutdown();
+    }
+    for node in nodes {
+        node.finish_shutdown();
+    }
 }

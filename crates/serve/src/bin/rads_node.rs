@@ -1,39 +1,47 @@
 //! `rads-node` — run RADS as a real multi-process cluster.
 //!
-//! One binary, two roles:
+//! One binary, one cluster lifecycle, two entry points and one worker role:
 //!
 //! ```text
-//! # coordinator: spawn a whole single-host cluster and print a summary
+//! # one query: launch a resident single-host cluster, run it, shut down
 //! rads-node run --machines 4 --query q5 \
 //!     [--transport uds|tcp] [--dataset LiveJournal] [--scale 0.05]
 //!     [--seed 42] [--workers N] [--budget BYTES] [--timeout-secs 300] [--json]
 //!
-//! # worker: one machine of a cluster (normally spawned by `run`)
+//! # a query stream: the same cluster kept resident behind a client door
+//! rads-node serve --machines 4 [--max-concurrent-queries N] ...
+//!
+//! # worker: one resident machine of a cluster (spawned by run / serve)
 //! rads-node worker --machine M --machines N --addrs uds:...,uds:... \
-//!     --dataset ... --scale ... --seed ... --query ... [--workers N]
-//!     [--budget BYTES] [--timeout-secs T]
+//!     --dataset ... --scale ... --seed ... [--workers N] [--budget BYTES]
 //! ```
 //!
-//! `run` allocates the listen addresses (fresh Unix socket paths under the
-//! temp dir, or probed loopback TCP ports), spawns `machines - 1` worker
-//! processes of **this same executable**, acts as machine 0 itself,
-//! collects every worker's result frame under a hard deadline
+//! Both entry points go through [`rads_serve::serve::ResidentCluster`]:
+//! `launch` allocates the listen addresses (fresh Unix socket paths under
+//! the temp dir, or probed loopback TCP ports), spawns `machines - 1`
+//! worker processes of **this same executable** and acts as machine 0
+//! itself; `query` runs a pattern on every machine under a hard deadline
 //! (`--timeout-secs`, default 300 — a deadlocked transport exits nonzero
-//! instead of hanging a CI runner), and prints the aggregate: embedding
-//! counts per machine and in total, plus the *real framed bytes* each
-//! process put on the wire. The last stdout line is a single-line JSON
-//! summary (only line with `--json`) that scripts and the CI smoke job
-//! parse.
+//! instead of hanging a CI runner) while watching the worker processes;
+//! `shutdown` orders the workers down and reaps them.
 //!
-//! `--trace-out FILE` / `--metrics-out FILE` turn on the observability
-//! layer (equivalently: `RADS_TRACE=1` / `RADS_METRICS=1`) and write each
-//! process's Chrome trace-event JSON and metrics snapshot when the run
-//! ends: the coordinator writes `FILE` itself, worker `K` writes
-//! `FILE.mK`, and each metrics JSON gets a Prometheus-text sibling at
-//! `<path>.prom`. With metrics on, workers also stream their registry
-//! snapshots to the coordinator over the wire, and the JSON summary gains
-//! a cluster-wide `metrics` object plus per-machine
-//! `fetch_wait_demand_us` / `fetch_wait_prefetch_us` columns.
+//! `run` is launch → one query → shutdown, and prints the aggregate:
+//! embedding counts per machine and in total, plus the *real framed bytes*
+//! each process put on the wire. The last stdout line is a single-line
+//! JSON summary (only line with `--json`) that scripts and the CI smoke
+//! job parse. `--fault-policy` decides what a lost worker means for the
+//! run. `serve` keeps the cluster resident behind a TCP client door (the
+//! `rads-query` binary is the client) and a Prometheus text page; a lost
+//! worker takes the cluster down (fail-fast). See [`rads_serve::serve`].
+//!
+//! `--trace-out FILE` / `--metrics-out FILE` (both entry points) turn on
+//! the observability layer (equivalently: `RADS_TRACE=1` /
+//! `RADS_METRICS=1`) and write each process's Chrome trace-event JSON and
+//! metrics snapshot when it shuts down: the coordinator writes `FILE`
+//! itself, worker `K` writes `FILE.mK`, and each metrics JSON gets a
+//! Prometheus-text sibling at `<path>.prom`. With metrics on, busy workers
+//! also stream their registry snapshots to the coordinator over the wire,
+//! and the JSON summary gains a cluster-wide `metrics` object.
 //!
 //! Every process rebuilds the deterministic dataset stand-in and
 //! partitioning locally from `(dataset, scale, seed, machines)`, so no
@@ -41,20 +49,13 @@
 //! exactly the code the in-process simulator runs — which is why the
 //! counts must be (and are, see the `cluster-smoke` CI job) bit-identical
 //! across transports.
-//!
-//! A third role, `serve`, keeps the whole cluster **resident**: the
-//! dataset is loaded and partitioned once, then a stream of pattern
-//! queries is answered over a TCP client door (the `rads-query` binary is
-//! the client) while a Prometheus text page serves the live metrics
-//! registry. See [`rads_bench::serve`] for the protocol, the admission
-//! semantics and the state-isolation contract between queries.
 
 use std::time::Duration;
 
-use rads_bench::procs::{
-    dataset_by_name, run_coordinator, run_worker, ClusterSpec, ClusterSummary, FaultPolicy,
+use rads_serve::procs::{
+    dataset_by_name, validate_env, ClusterSpec, ClusterSummary, FaultPolicy,
 };
-use rads_bench::serve::{run_serve_coordinator, run_serve_worker, ServeOptions};
+use rads_serve::serve::{run_once, run_worker, serve, ServeOptions};
 use rads_core::RoundDriver;
 use rads_datasets::DatasetKind;
 use rads_runtime::{PeerAddr, TransportKind};
@@ -150,7 +151,7 @@ impl Flags {
     }
 }
 
-fn spec_from_flags(flags: &Flags, machines: usize, default_query: Option<&str>) -> ClusterSpec {
+fn spec_from_flags(flags: &Flags, machines: usize) -> ClusterSpec {
     // The artifact flags imply their toggles: pointing a run at an output
     // file is the request to record. (The RADS_TRACE / RADS_METRICS env
     // toggles work too — every worker inherits the coordinator's env.)
@@ -178,11 +179,6 @@ fn spec_from_flags(flags: &Flags, machines: usize, default_query: Option<&str>) 
         dataset,
         scale,
         seed: flags.parsed("seed").unwrap_or(42),
-        query: flags
-            .get("query")
-            .or(default_query)
-            .unwrap_or_else(|| fail("--query is required"))
-            .to_string(),
         workers: flags.parsed("workers").unwrap_or_else(rads_exec::workers_from_env),
         budget,
         driver: flags
@@ -213,28 +209,6 @@ fn spec_from_flags(flags: &Flags, machines: usize, default_query: Option<&str>) 
     }
 }
 
-/// Validates every RADS_* environment knob this process (and the workers it
-/// spawns, which inherit the environment) will read, so a typo fails the
-/// run up front with one clear message instead of a mid-run panic deep in a
-/// worker.
-fn validate_env() {
-    if let Err(e) = TransportKind::from_env() {
-        fail(&e.to_string());
-    }
-    if let Err(e) = RoundDriver::from_env() {
-        fail(&e.to_string());
-    }
-    if let Err(e) = rads_core::memory::MemoryBudget::from_env() {
-        fail(&e.to_string());
-    }
-    if let Err(e) = FaultPolicy::from_env() {
-        fail(&e.to_string());
-    }
-    if let Err(e) = rads_runtime::transport::barrier_timeout_from_env() {
-        fail(&e.to_string());
-    }
-}
-
 fn timeout_from_flags(flags: &Flags) -> Duration {
     Duration::from_secs(flags.parsed::<u64>("timeout-secs").unwrap_or(DEFAULT_TIMEOUT_SECS).max(1))
 }
@@ -253,23 +227,31 @@ fn socket_transport_from_flags(flags: &Flags) -> TransportKind {
     }
 }
 
+/// What both entry points need to launch a cluster: the spec, the socket
+/// transport and the executable to spawn as workers (this one).
+fn launch_inputs(flags: &Flags) -> (ClusterSpec, TransportKind, std::path::PathBuf) {
+    let machines: usize = flags.require("machines");
+    if machines == 0 {
+        fail("--machines must be at least 1");
+    }
+    let node_binary = std::env::current_exe()
+        .unwrap_or_else(|e| fail(&format!("cannot locate this executable: {e}")));
+    (spec_from_flags(flags, machines), socket_transport_from_flags(flags), node_binary)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(mode) = args.first() else { usage() };
     let flags = Flags::parse(&args[1..]);
-    validate_env();
+    if let Err(e) = validate_env() {
+        fail(&e.to_string());
+    }
 
     match mode.as_str() {
         "run" => {
-            let machines: usize = flags.require("machines");
-            if machines == 0 {
-                fail("--machines must be at least 1");
-            }
-            let spec = spec_from_flags(&flags, machines, None);
-            let kind = socket_transport_from_flags(&flags);
+            let (spec, kind, node_binary) = launch_inputs(&flags);
+            let query: String = flags.require("query");
             let timeout = timeout_from_flags(&flags);
-            let node_binary = std::env::current_exe()
-                .unwrap_or_else(|e| fail(&format!("cannot locate this executable: {e}")));
             if !flags.json {
                 println!(
                     "cluster: {} machines over {} | dataset {} scale {} seed {} | query {} | workers {} | driver {}",
@@ -278,12 +260,12 @@ fn main() {
                     spec.dataset.name(),
                     spec.scale,
                     spec.seed,
-                    spec.query,
+                    query,
                     spec.workers,
                     spec.driver.name(),
                 );
             }
-            match run_coordinator(&spec, kind, &node_binary, timeout) {
+            match run_once(&spec, &query, kind, &node_binary, timeout) {
                 Ok(summary) => {
                     if !flags.json {
                         print_human(&summary);
@@ -294,14 +276,7 @@ fn main() {
             }
         }
         "serve" => {
-            let machines: usize = flags.require("machines");
-            if machines == 0 {
-                fail("--machines must be at least 1");
-            }
-            // serve workers receive their queries over the wire; the spec's
-            // query field is a placeholder the serve path never reads
-            let spec = spec_from_flags(&flags, machines, Some("q1"));
-            let kind = socket_transport_from_flags(&flags);
+            let (spec, kind, node_binary) = launch_inputs(&flags);
             let admission_bytes = flags.get("admission-bytes").map(|raw| {
                 rads_core::memory::parse_bytes(raw).unwrap_or_else(|| {
                     fail(&format!("invalid byte size {raw:?} for --admission-bytes"))
@@ -319,16 +294,14 @@ fn main() {
                 query_timeout: timeout_from_flags(&flags),
                 max_concurrent_queries,
             };
-            let node_binary = std::env::current_exe()
-                .unwrap_or_else(|e| fail(&format!("cannot locate this executable: {e}")));
-            if let Err(e) = run_serve_coordinator(&spec, kind, &node_binary, &options) {
+            if let Err(e) = serve(&spec, kind, &node_binary, &options) {
                 fail(&e);
             }
         }
-        "worker" | "serve-worker" => {
+        "worker" => {
             let machines: usize = flags.require("machines");
             let machine: usize = flags.require("machine");
-            let spec = spec_from_flags(&flags, machines, None);
+            let spec = spec_from_flags(&flags, machines);
             let addr_list: String = flags.require("addrs");
             let addrs: Vec<PeerAddr> = addr_list
                 .split(',')
@@ -337,14 +310,8 @@ fn main() {
             if addrs.len() != machines {
                 fail(&format!("--addrs lists {} addresses for {machines} machines", addrs.len()));
             }
-            let result = if mode == "serve-worker" {
-                let max_concurrent =
-                    flags.parsed::<usize>("max-concurrent-queries").unwrap_or(1).max(1);
-                run_serve_worker(&spec, machine, addrs, max_concurrent)
-            } else {
-                run_worker(&spec, machine, addrs, timeout_from_flags(&flags))
-            };
-            if let Err(e) = result {
+            let max_concurrent = flags.parsed::<usize>("max-concurrent-queries").unwrap_or(1);
+            if let Err(e) = run_worker(&spec, machine, addrs, max_concurrent) {
                 fail(&e);
             }
         }

@@ -23,7 +23,7 @@
 
 use std::process::exit;
 
-use rads_bench::serve::{client_round_trip, ClientOp, QueryReply};
+use rads_serve::serve::{client_round_trip, ClientOp, QueryReply};
 
 fn fail(message: &str) -> ! {
     eprintln!("rads-query: {message}");

@@ -1,12 +1,13 @@
 //! A minimal JSON reader.
 //!
-//! The harness *writes* `BENCH_results.json` with hand-rolled formatting
-//! (see [`crate::render_results_json`]); this module is the matching
-//! *reader*, used by the `experiments validate` schema gate and by the
-//! multi-process coordinator protocol (`rads-node --json` output). It is a
-//! strict recursive-descent parser over the JSON subset those producers
-//! emit — objects, arrays, strings with the common escapes, numbers, bools,
-//! null — and rejects everything else with a byte-offset error message.
+//! The workspace *writes* JSON with hand-rolled formatting (`rads-node
+//! --json` summaries, `BENCH_results.json`, trace and metrics artifacts);
+//! this module is the matching *reader*, used by
+//! [`crate::procs::ClusterSummary::parse_json`] and by the experiment
+//! harness's `validate` schema gates. It is a strict recursive-descent
+//! parser over the JSON subset those producers emit — objects, arrays,
+//! strings with the common escapes, numbers, bools, null — and rejects
+//! everything else with a byte-offset error message.
 //! The offline-build constraint (no serde_json) is why it exists at all.
 
 /// A parsed JSON value.
@@ -309,28 +310,6 @@ mod tests {
             Json::parse(r#""a\"b\\c\ndA""#),
             Ok(Json::String("a\"b\\c\ndA".into()))
         );
-    }
-
-    #[test]
-    fn round_trips_the_bench_record_writer() {
-        let m = crate::Measurement {
-            system: "RADS",
-            dataset: "DBLP".into(),
-            query: "q1".into(),
-            machines: 4,
-            embeddings: 123,
-            elapsed_ms: 1.5,
-            communication_mb: 0.25,
-            peak_intermediate_rows: 7,
-            workers: 2,
-        };
-        let records = vec![crate::BenchRecord::from_measurement("fig9", &m)];
-        let parsed = Json::parse(&crate::render_results_json(&records)).unwrap();
-        let rows = parsed.as_array().unwrap();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].get("experiment").and_then(Json::as_str), Some("fig9"));
-        assert_eq!(rows[0].get("embeddings").and_then(Json::as_u64), Some(123));
-        assert_eq!(rows[0].get("elapsed_ms").and_then(Json::as_f64), Some(1.5));
     }
 
     #[test]

@@ -13,8 +13,8 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use rads_bench::json::Json;
-use rads_bench::procs::{machine_artifact, prometheus_sibling, ClusterSummary};
+use rads_serve::json::Json;
+use rads_serve::procs::{machine_artifact, prometheus_sibling, ClusterSummary};
 use rads_bench::{validate_metrics_json, validate_trace_json};
 
 const MACHINES: usize = 4;

@@ -24,7 +24,7 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use rads_bench::build_cluster;
-use rads_bench::serve::{client_round_trip, ClientOp, QueryReply};
+use rads_serve::serve::{client_round_trip, ClientOp, QueryReply};
 use rads_core::{run_rads, RadsConfig, RoundDriver};
 use rads_datasets::{generate, DatasetKind, Scale};
 use rads_graph::queries;

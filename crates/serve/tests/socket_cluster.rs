@@ -11,7 +11,7 @@
 
 use std::process::Command;
 
-use rads_bench::procs::ClusterSummary;
+use rads_serve::procs::ClusterSummary;
 use rads_bench::build_cluster;
 use rads_core::{run_rads, RadsConfig};
 use rads_datasets::{generate, DatasetKind, Scale};
@@ -64,7 +64,7 @@ fn run_cluster(query: &str, transport: &str) -> ClusterSummary {
 // The two cluster-running tests are #[ignore]d by default: they spawn 4-process
 // clusters per query, which belongs in the dedicated release-mode
 // `cluster-smoke` CI job (run there via `--ignored`), not in every debug-mode
-// leg of the test matrix. Locally: `cargo test -p rads-bench --test
+// leg of the test matrix. Locally: `cargo test -p rads-serve --test
 // socket_cluster -- --ignored`.
 
 #[test]
