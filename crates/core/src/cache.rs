@@ -14,6 +14,11 @@
 //! touch and evict), every insert evicts least-recently-used entries until
 //! the new adjacency list fits, and the hit/miss/eviction counters are
 //! surfaced through `EngineStats` so experiments can report cache pressure.
+//!
+//! A cache is sound for as long as the graph it was filled from does not
+//! change: every entry is a whole adjacency list exactly as its owner served
+//! it. On a resident machine that is the life of the process, so caches are
+//! kept between queries by a [`crate::store::ForeignStore`].
 
 use std::collections::HashMap;
 
@@ -30,26 +35,60 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
+impl CacheStats {
+    /// The counters accumulated since `baseline` was read off the same
+    /// cache — what one query did to a cache that outlives it.
+    pub fn since(self, baseline: CacheStats) -> CacheStats {
+        CacheStats {
+            hits: self.hits - baseline.hits,
+            misses: self.misses - baseline.misses,
+            evictions: self.evictions - baseline.evictions,
+        }
+    }
+}
+
+/// "No slot": the end of the recency list, or an empty list.
+const NIL: u32 = u32::MAX;
+
+/// One cached adjacency list, living in a slot of [`ForeignVertexCache::slots`].
+/// The recency list is threaded through the slots by *slot index*, so
+/// relinking an entry is plain array indexing — the hash map is consulted
+/// once per lookup, to find the slot.
 #[derive(Debug, Clone)]
 struct Entry {
+    vertex: VertexId,
     adjacency: Vec<VertexId>,
-    /// More recently used neighbour in the recency list (`None` = newest).
-    prev: Option<VertexId>,
-    /// Less recently used neighbour (`None` = oldest, next to evict).
-    next: Option<VertexId>,
+    /// More recently used neighbour in the recency list ([`NIL`] = newest).
+    prev: u32,
+    /// Less recently used neighbour ([`NIL`] = oldest, next to evict).
+    next: u32,
+    /// The [`ForeignVertexCache::epoch`] that last inserted or hit this entry.
+    epoch: u32,
 }
 
 /// Per-machine cache of foreign adjacency lists fetched with `fetchV`,
 /// bounded to `capacity_bytes` with LRU eviction.
 #[derive(Debug, Clone)]
 pub struct ForeignVertexCache {
-    entries: HashMap<VertexId, Entry>,
-    /// Most recently used vertex.
-    head: Option<VertexId>,
-    /// Least recently used vertex (evicted first).
-    tail: Option<VertexId>,
+    /// Vertex → slot of its entry.
+    index: HashMap<VertexId, u32>,
+    /// Entry storage; slots named by `free` are vacant.
+    slots: Vec<Entry>,
+    free: Vec<u32>,
+    /// Slot of the most recently used entry.
+    head: u32,
+    /// Slot of the least recently used entry (evicted first).
+    tail: u32,
     /// Current accounted bytes of every cached adjacency list.
     bytes: usize,
+    /// Which use of the cache this is: bumped by
+    /// [`begin_epoch`](Self::begin_epoch) every time a resident cache is
+    /// taken up again.
+    epoch: u32,
+    /// The part of `bytes` inserted or hit during the current epoch — what
+    /// the user of the cache is known to be working with. All of `bytes`
+    /// for a cache that was never handed on.
+    epoch_bytes: usize,
     /// Highest `bytes` ever observed.
     peak_bytes: usize,
     /// Byte capacity; inserts evict until the new entry fits.
@@ -78,10 +117,14 @@ impl ForeignVertexCache {
     /// bytes at or below `capacity_bytes`.
     pub fn with_capacity(capacity_bytes: usize) -> Self {
         ForeignVertexCache {
-            entries: HashMap::new(),
-            head: None,
-            tail: None,
+            index: HashMap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            head: NIL,
+            tail: NIL,
             bytes: 0,
+            epoch: 0,
+            epoch_bytes: 0,
             peak_bytes: 0,
             capacity_bytes,
             stats: CacheStats::default(),
@@ -101,12 +144,12 @@ impl ForeignVertexCache {
 
     /// Number of cached adjacency lists.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.index.len()
     }
 
     /// `true` when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.index.is_empty()
     }
 
     /// The byte capacity inserts are held to.
@@ -120,62 +163,85 @@ impl ForeignVertexCache {
         std::mem::size_of::<VertexId>() * (adjacency_len + 1)
     }
 
-    /// Unlinks `vertex` from the recency list (must be present).
-    fn unlink(&mut self, vertex: VertexId) {
-        let (prev, next) = {
-            let e = &self.entries[&vertex];
-            (e.prev, e.next)
-        };
+    /// Starts a new epoch: from here on, only what is inserted or hit counts
+    /// as in use. A [`crate::store::ForeignStore`] calls this when it hands a
+    /// resident cache to the next drain, whose working set is not the
+    /// previous one's.
+    pub fn begin_epoch(&mut self) {
+        match self.epoch.checked_add(1) {
+            Some(next) => self.epoch = next,
+            // entries are stamped with epoch numbers: start over empty
+            // rather than let a 2^32-epochs-old stamp pass for a current one
+            None => {
+                self.clear();
+                self.epoch = 0;
+            }
+        }
+        self.epoch_bytes = 0;
+    }
+
+    /// How many more entries of this cache's average size fit into the
+    /// allowance next to what the current epoch has inserted or hit — the
+    /// bound on a group-ahead prefetch: overrunning it would evict the very
+    /// entries the in-flight group is about to use, whereas entries left
+    /// over from earlier epochs and not touched since are the LRU tail and
+    /// fair game. Before any entry is cached, a conservative small-degree
+    /// entry cost seeds the estimate.
+    pub fn prefetch_quota(&self) -> usize {
+        let free = self.capacity_bytes.saturating_sub(self.epoch_bytes);
+        let per_entry = self
+            .bytes
+            .checked_div(self.len())
+            .map_or_else(|| Self::entry_bytes(8), |per| per.max(1));
+        free / per_entry
+    }
+
+    /// Unlinks the entry in `slot` from the recency list.
+    fn unlink(&mut self, slot: u32) {
+        let Entry { prev, next, .. } = self.slots[slot as usize];
         match prev {
-            Some(p) => self.entries.get_mut(&p).expect("linked prev").next = next,
-            None => self.head = next,
+            NIL => self.head = next,
+            p => self.slots[p as usize].next = next,
         }
         match next {
-            Some(n) => self.entries.get_mut(&n).expect("linked next").prev = prev,
-            None => self.tail = prev,
+            NIL => self.tail = prev,
+            n => self.slots[n as usize].prev = prev,
         }
     }
 
-    /// Links `vertex` (already in `entries`) as the most recently used.
-    fn link_front(&mut self, vertex: VertexId) {
+    /// Links the entry in `slot` as the most recently used.
+    fn link_front(&mut self, slot: u32) {
         let old_head = self.head;
-        {
-            let e = self.entries.get_mut(&vertex).expect("entry present");
-            e.prev = None;
-            e.next = old_head;
+        let entry = &mut self.slots[slot as usize];
+        entry.prev = NIL;
+        entry.next = old_head;
+        match old_head {
+            NIL => self.tail = slot,
+            h => self.slots[h as usize].prev = slot,
         }
-        if let Some(h) = old_head {
-            self.entries.get_mut(&h).expect("old head").prev = Some(vertex);
-        }
-        self.head = Some(vertex);
-        if self.tail.is_none() {
-            self.tail = Some(vertex);
-        }
+        self.head = slot;
     }
 
-    /// Moves `vertex` to the front of the recency list.
-    fn touch(&mut self, vertex: VertexId) {
-        if self.head == Some(vertex) {
-            return;
+    /// Removes the entry in `slot` altogether: off the recency list, out of
+    /// the index, its bytes released and its slot vacated.
+    fn remove_slot(&mut self, slot: u32) {
+        self.unlink(slot);
+        let entry = &mut self.slots[slot as usize];
+        let adjacency = std::mem::take(&mut entry.adjacency);
+        self.index.remove(&entry.vertex);
+        self.bytes -= Self::entry_bytes(adjacency.len());
+        if entry.epoch == self.epoch {
+            self.epoch_bytes -= Self::entry_bytes(adjacency.len());
         }
-        self.unlink(vertex);
-        self.link_front(vertex);
+        self.free.push(slot);
     }
 
-    /// Evicts the least recently used entry. Returns `false` when empty.
-    fn evict_one(&mut self) -> bool {
-        let Some(victim) = self.tail else { return false };
-        self.unlink(victim);
-        let entry = self.entries.remove(&victim).expect("tail entry");
-        self.bytes -= Self::entry_bytes(entry.adjacency.len());
-        self.stats.evictions += 1;
-        true
-    }
-
-    /// Inserts a fetched adjacency list (sorted). A no-op when disabled.
-    /// Evicts LRU entries until the new list fits the capacity; a list that
-    /// cannot fit even in an empty cache is not retained at all (it would
-    /// only displace everything else for a single use).
+    /// Inserts a fetched adjacency list. A no-op when disabled. The owner's
+    /// CSR serves lists sorted, so the sort only runs for a caller that
+    /// hands in an unsorted one. Evicts LRU entries until the new list fits
+    /// the capacity; a list that cannot fit even in an empty cache is not
+    /// retained at all (it would only displace everything else for a single
+    /// use).
     pub fn insert(&mut self, vertex: VertexId, mut adjacency: Vec<VertexId>) {
         if !self.enabled {
             return;
@@ -184,22 +250,34 @@ impl ForeignVertexCache {
         if new_bytes > self.capacity_bytes {
             return;
         }
-        adjacency.sort_unstable();
-        if self.entries.contains_key(&vertex) {
+        if !adjacency.is_sorted() {
+            adjacency.sort_unstable();
+        }
+        if let Some(&slot) = self.index.get(&vertex) {
             // re-fetch of a cached vertex: replace the payload and refresh
-            self.unlink(vertex);
-            let entry = self.entries.remove(&vertex).expect("present");
-            self.bytes -= Self::entry_bytes(entry.adjacency.len());
+            self.remove_slot(slot);
         }
-        while self.bytes + new_bytes > self.capacity_bytes {
-            if !self.evict_one() {
-                break;
+        while self.bytes + new_bytes > self.capacity_bytes && self.tail != NIL {
+            self.remove_slot(self.tail);
+            self.stats.evictions += 1;
+        }
+        let entry = Entry { vertex, adjacency, prev: NIL, next: NIL, epoch: self.epoch };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = entry;
+                slot
             }
-        }
-        self.entries.insert(vertex, Entry { adjacency, prev: None, next: None });
+            None => {
+                let slot = u32::try_from(self.slots.len()).expect("fewer than 2^32 cached vertices");
+                self.slots.push(entry);
+                slot
+            }
+        };
+        self.index.insert(vertex, slot);
         self.bytes += new_bytes;
+        self.epoch_bytes += new_bytes;
         self.peak_bytes = self.peak_bytes.max(self.bytes);
-        self.link_front(vertex);
+        self.link_front(slot);
     }
 
     /// Bulk [`insert`](Self::insert) of a harvested `fetchV` response: the
@@ -212,43 +290,49 @@ impl ForeignVertexCache {
     }
 
     /// Looks up the adjacency list of `vertex`, recording hit/miss statistics
-    /// and refreshing its recency on a hit.
+    /// and refreshing its recency on a hit. One hash probe either way: the
+    /// recency list is relinked through slot indices.
     pub fn get(&mut self, vertex: VertexId) -> Option<&[VertexId]> {
-        if self.entries.contains_key(&vertex) {
-            self.stats.hits += 1;
-            self.touch(vertex);
-            self.entries.get(&vertex).map(|e| e.adjacency.as_slice())
-        } else {
+        let Some(&slot) = self.index.get(&vertex) else {
             self.stats.misses += 1;
-            None
+            return None;
+        };
+        self.stats.hits += 1;
+        let entry = &mut self.slots[slot as usize];
+        if entry.epoch != self.epoch {
+            entry.epoch = self.epoch;
+            self.epoch_bytes += Self::entry_bytes(entry.adjacency.len());
         }
+        if self.head != slot {
+            self.unlink(slot);
+            self.link_front(slot);
+        }
+        Some(&self.slots[slot as usize].adjacency)
     }
 
     /// Non-recording lookup (used by read-only verification paths). Does not
     /// refresh recency.
     pub fn peek(&self, vertex: VertexId) -> Option<&[VertexId]> {
-        self.entries.get(&vertex).map(|e| e.adjacency.as_slice())
+        self.index.get(&vertex).map(|&slot| self.slots[slot as usize].adjacency.as_slice())
     }
 
     /// `true` if `vertex` is cached.
     pub fn contains(&self, vertex: VertexId) -> bool {
-        self.entries.contains_key(&vertex)
+        self.index.contains_key(&vertex)
     }
 
     /// Checks whether the cached adjacency of either endpoint decides the
     /// existence of the edge `(u, v)`. Returns `None` when neither endpoint
     /// is cached.
     pub fn verify_edge(&self, u: VertexId, v: VertexId) -> Option<bool> {
-        if let Some(e) = self.entries.get(&u) {
-            return Some(e.adjacency.binary_search(&v).is_ok());
+        if let Some(adjacency) = self.peek(u) {
+            return Some(adjacency.binary_search(&v).is_ok());
         }
-        if let Some(e) = self.entries.get(&v) {
-            return Some(e.adjacency.binary_search(&u).is_ok());
-        }
-        None
+        self.peek(v).map(|adjacency| adjacency.binary_search(&u).is_ok())
     }
 
-    /// Hit/miss/eviction counters.
+    /// Hit/miss/eviction counters over the cache's whole life (a resident
+    /// cache outlives queries; see [`CacheStats::since`]).
     pub fn stats(&self) -> CacheStats {
         self.stats
     }
@@ -266,11 +350,12 @@ impl ForeignVertexCache {
     /// The cached vertices from most to least recently used (tests and
     /// diagnostics).
     pub fn recency_order(&self) -> Vec<VertexId> {
-        let mut out = Vec::with_capacity(self.entries.len());
+        let mut out = Vec::with_capacity(self.len());
         let mut cur = self.head;
-        while let Some(v) = cur {
-            out.push(v);
-            cur = self.entries[&v].next;
+        while cur != NIL {
+            let entry = &self.slots[cur as usize];
+            out.push(entry.vertex);
+            cur = entry.next;
         }
         out
     }
@@ -278,10 +363,13 @@ impl ForeignVertexCache {
     /// Drops every cached entry (used between region groups when the memory
     /// budget requires it). Not counted as evictions.
     pub fn clear(&mut self) {
-        self.entries.clear();
-        self.head = None;
-        self.tail = None;
+        self.index.clear();
+        self.slots.clear();
+        self.free.clear();
+        self.head = NIL;
+        self.tail = NIL;
         self.bytes = 0;
+        self.epoch_bytes = 0;
     }
 }
 
@@ -310,6 +398,37 @@ mod tests {
         assert_eq!(cache.verify_edge(12, 10), Some(true));
         assert_eq!(cache.verify_edge(10, 99), Some(false));
         assert_eq!(cache.verify_edge(1, 2), None);
+    }
+
+    #[test]
+    fn prefetch_quota_spares_only_what_the_current_epoch_touched() {
+        let entry = ForeignVertexCache::entry_bytes(3);
+        let mut cache = ForeignVertexCache::with_capacity(4 * entry);
+        for v in 0..4 {
+            cache.insert(v, vec![1, 2, 3]);
+        }
+        // a cache that was never handed on: everything in it is in use
+        assert_eq!(cache.prefetch_quota(), 0);
+        // the next user's working set is not known yet: all of it may go
+        cache.begin_epoch();
+        assert_eq!(cache.prefetch_quota(), 4);
+        // a hit and an insert (which evicts vertex 1, untouched) are in use
+        assert!(cache.get(0).is_some());
+        assert!(cache.get(0).is_some());
+        assert_eq!(cache.prefetch_quota(), 3);
+        cache.insert(9, vec![4, 5, 6]);
+        assert_eq!(cache.prefetch_quota(), 2);
+        assert!(!cache.contains(1));
+        // peeking is not using; replacing an in-use entry is not using it twice
+        assert!(cache.peek(2).is_some());
+        cache.insert(9, vec![4, 5, 6]);
+        assert_eq!(cache.prefetch_quota(), 2);
+        // evicting an in-use entry releases its share
+        cache.begin_epoch();
+        cache.insert(10, vec![7, 8, 9]);
+        cache.insert(11, vec![0; 15]); // 16 words: the whole allowance
+        assert_eq!(cache.recency_order(), vec![11]);
+        assert_eq!(cache.prefetch_quota(), 0);
     }
 
     #[test]

@@ -9,9 +9,11 @@
 //! intra-machine [`rads_exec`] worker pool instead of a single loop. Region
 //! groups are fully independent units of work, so each pool worker runs the
 //! exact sequential drain loop — pop a group from the shared queue, process
-//! it, steal from other machines once the queue is empty — against its own
-//! foreign-vertex cache (contention-free reads: no worker ever blocks on
-//! another worker's cache) and its own partial [`MachineOutput`]. The
+//! it, steal from other machines once the queue is empty — against a
+//! foreign-vertex cache of its own, checked out of the machine's
+//! [`ForeignStore`] for the length of the drain (contention-free reads: no
+//! worker ever blocks on another worker's cache), and its own partial
+//! [`MachineOutput`]. The
 //! partials are merged at the end-of-phase barrier by summing counters,
 //! maxing peaks and sorting collected embeddings, all order-insensitive
 //! reductions, so every result surfaced by [`run_machine`] is independent of
@@ -19,6 +21,20 @@
 //! counters (cache hits/misses, `fetchV`/`verifyE` request counts) may vary
 //! with `workers > 1`, because which worker's cache already holds a foreign
 //! vertex depends on which worker processed the earlier group.
+//!
+//! # Foreign adjacency outlives the run
+//!
+//! The caches are not the run's: they belong to the [`ForeignStore`] passed
+//! to [`run_machine`], and go back to it — contents and all — when the drain
+//! ends. A caller that hands every run a fresh store ([`crate::run_rads`])
+//! gets runs that are pure functions of their inputs; a caller that keeps
+//! one store for as long as the machine's partition is loaded (the resident
+//! `serve` machine) pays each `fetchV` once per process rather than once per
+//! query, and — since an undetermined edge with a cached endpoint is decided
+//! in the intersect — most `verifyE` traffic with it. Embedding counts are
+//! the same either way; see the [`crate::store`] docs for why that is sound.
+//! The cache counters in [`EngineStats`] are per run regardless: deltas
+//! between check-out and check-in.
 //!
 //! # Round drivers: scatter / harvest
 //!
@@ -37,7 +53,7 @@
 //!   one region group, the round-0 `fetchV` chunks of the *next* queued
 //!   group are already in flight (a bounded [`rads_exec::InflightWindow`]
 //!   of pending completions, budget-aware via
-//!   [`MemoryGovernor::prefetch_quota`]); the harvested adjacency warms the
+//!   [`ForeignVertexCache::prefetch_quota`]); the harvested adjacency warms the
 //!   worker's foreign-vertex cache before that group starts expanding.
 //!   Prefetching is *latency-adaptive*: the demand-fetch path feeds its
 //!   observed first-response wait into
@@ -74,6 +90,7 @@ use crate::governor::MemoryGovernor;
 use crate::memory::{MemoryBudget, SpaceEstimator};
 use crate::region::{find_region_groups, foreign_members, GroupingStrategy};
 use crate::sme::run_sme;
+use crate::store::ForeignStore;
 use crate::trie::{EmbeddingTrie, NodeId};
 
 /// Environment variable selecting the [`RoundDriver`]
@@ -141,13 +158,17 @@ pub struct EngineConfig {
     /// Run the SM-E phase (Section 3.1). Disabling it is the `ablation_sme`
     /// experiment.
     pub enable_sme: bool,
-    /// Keep fetched foreign vertices cached across rounds and region groups.
+    /// Keep fetched foreign vertices cached across rounds and region groups
+    /// (and, through the [`ForeignStore`], across runs). Disabled, the store
+    /// is bypassed altogether.
     pub enable_cache: bool,
     /// Steal region groups from the most loaded machine when idle.
     pub enable_load_sharing: bool,
     /// How region groups are formed.
     pub grouping: GroupingStrategy,
-    /// Per-group memory budget `Φ` plus the foreign-vertex cache allowance.
+    /// Per-group memory budget `Φ`. Its cache allowance sizes only the
+    /// per-round scratch cache of a cache-disabled run: the persistent
+    /// caches are sized by the [`ForeignStore`] that owns them.
     pub budget: MemoryBudget,
     /// Enforce the budget at runtime (the [`MemoryGovernor`]): overflowing
     /// region groups are split mid-flight and the space estimator is
@@ -219,16 +240,21 @@ pub struct EngineStats {
     pub embedding_list_bytes: u64,
     /// Bytes the embedding trie required for the same results.
     pub embedding_trie_bytes: u64,
-    /// Foreign vertices held in the cache at the end of the run.
+    /// Foreign vertices held in this run's caches when they were checked
+    /// back in — the resident footprint, which on a store that outlives the
+    /// run includes what earlier runs left there.
     pub cache_entries: usize,
-    /// Foreign-vertex cache hits / misses.
+    /// Foreign-vertex cache hits of this run (since check-out, like the two
+    /// counters below — never a resident cache's lifetime totals).
     pub cache_hits: u64,
-    /// Foreign-vertex cache misses.
+    /// Foreign-vertex cache misses of this run.
     pub cache_misses: u64,
-    /// Entries the byte-bounded cache evicted to stay under its allowance.
+    /// Entries the byte-bounded caches evicted during this run to stay
+    /// under their allowance.
     pub cache_evictions: u64,
-    /// Highest byte footprint any single worker's cache reached (each worker
-    /// cache has its own [`MemoryBudget::cache_bytes`] allowance).
+    /// Highest byte footprint any single cache this run used ever reached
+    /// (resident, like `cache_entries`; each cache has its own
+    /// [`MemoryBudget::cache_bytes`] allowance).
     pub cache_peak_bytes: u64,
     /// Highest bytes of intermediate results (trie + expansion buffers) seen
     /// at any governor checkpoint on any worker — the runtime counterpart of
@@ -446,13 +472,16 @@ fn transport_failed(ctx: &MachineContext, error: TransportError) -> ! {
     panic!("machine {}: unrecoverable transport failure: {error}", ctx.machine())
 }
 
-/// Runs the full RADS pipeline on one machine of the cluster.
+/// Runs the full RADS pipeline on one machine of the cluster. `store` is
+/// where the run's foreign-vertex caches come from and go back to (see the
+/// [module docs](self#foreign-adjacency-outlives-the-run)).
 pub fn run_machine(
     ctx: &MachineContext,
     pattern: &Pattern,
     plan: &ExecutionPlan,
     config: &EngineConfig,
     group_queue: GroupQueue,
+    store: &ForeignStore,
 ) -> MachineOutput {
     let mut output = MachineOutput::default();
     let local = ctx.partition();
@@ -498,7 +527,7 @@ pub fn run_machine(
     // inline on the engine thread — the paper's sequential path, unchanged.
     let estimator = sme.estimator;
     let worker_outputs = scoped_workers(exec.effective_workers(), |_worker| {
-        drain_region_groups(ctx, pattern, plan, &symmetry, &group_queue, config, estimator)
+        drain_region_groups(ctx, pattern, plan, &symmetry, &group_queue, config, estimator, store)
     });
     for worker_output in worker_outputs {
         output.absorb(worker_output);
@@ -525,8 +554,10 @@ pub fn run_machine(
 /// One pool worker's share of phases 3 and 4: process local region groups
 /// until the machine's queue is empty, then steal groups from the most
 /// loaded other machine (checkR / shareR) until the cluster has none left.
-/// Exactly the sequential drain loop, against a worker-private cache,
-/// governor and output.
+/// Exactly the sequential drain loop, against a worker-private governor and
+/// output and a cache checked out of `store` for the length of the drain. A
+/// drain that unwinds (see [`transport_failed`]) never checks its cache back
+/// in.
 ///
 /// The governor's split path re-queues shed candidates on this machine's
 /// shared queue, so a worker that splits a group finds the shed half on its
@@ -541,13 +572,12 @@ fn drain_region_groups(
     group_queue: &GroupQueue,
     config: &EngineConfig,
     estimator: SpaceEstimator,
+    store: &ForeignStore,
 ) -> MachineOutput {
     let mut output = MachineOutput::default();
-    let mut cache = if config.enable_cache {
-        ForeignVertexCache::with_capacity(config.budget.cache_bytes)
-    } else {
-        ForeignVertexCache::disabled()
-    };
+    let mut cache =
+        if config.enable_cache { store.check_out() } else { ForeignVertexCache::disabled() };
+    let stats_at_check_out = cache.stats();
     // One expander per pool worker: its candidate buffers, backtracking
     // stacks and flat extension output are reused across every parent
     // embedding, round and region group this worker processes. Likewise one
@@ -575,7 +605,7 @@ fn drain_region_groups(
         // complete the fetches scattered while the previous group expanded
         prefetch.harvest_all(ctx, &mut cache, &mut output.stats);
         if let Some(next) = upcoming {
-            prefetch.scatter(ctx, ctx.partition(), &next, &mut cache, &governor, &mut output.stats);
+            prefetch.scatter(ctx, ctx.partition(), &next, &mut cache, &mut output.stats);
         }
         process_region_group(
             ctx, pattern, plan, symmetry, &group, &mut cache, &mut expander, &mut governor,
@@ -644,12 +674,15 @@ fn drain_region_groups(
         }
     }
 
-    let cache_stats = cache.stats();
+    let cache_stats = cache.stats().since(stats_at_check_out);
     output.stats.cache_hits = cache_stats.hits;
     output.stats.cache_misses = cache_stats.misses;
     output.stats.cache_evictions = cache_stats.evictions;
     output.stats.cache_peak_bytes = cache.peak_memory_bytes() as u64;
     output.stats.cache_entries = cache.len();
+    if config.enable_cache {
+        store.check_in(cache);
+    }
     output.stats.intersect = expander.intersect_stats().clone();
     output.stats.peak_tracked_bytes = governor.stats.peak_tracked_bytes;
     output.stats.governor_splits = governor.stats.splits;
@@ -992,8 +1025,9 @@ const PREFETCH_MIN_WAIT_MICROS: u64 = 500;
 /// anywhere would be pure waste — and once the observed fetch latency
 /// drops below [`PREFETCH_MIN_WAIT_MICROS`] (a fabric that fast leaves
 /// nothing to hide). The vertex count per scatter is capped by
-/// [`MemoryGovernor::prefetch_quota`]: prefetching more than the cache's
-/// free allowance would evict entries the in-flight group still needs.
+/// [`ForeignVertexCache::prefetch_quota`]: prefetching more than fits next to
+/// what this drain has used would evict entries the in-flight group still
+/// needs (what earlier queries left in a resident cache does not count).
 struct GroupPrefetch {
     enabled: bool,
     chunk: usize,
@@ -1009,8 +1043,8 @@ impl GroupPrefetch {
         }
     }
 
-    /// Issues the round-0 foreign fetches of `group`, up to the governor's
-    /// budget-aware quota. A push that overflows the in-flight window
+    /// Issues the round-0 foreign fetches of `group`, up to the cache's
+    /// prefetch quota. A push that overflows the in-flight window
     /// completes the oldest pending chunk into the cache right away.
     fn scatter(
         &mut self,
@@ -1018,7 +1052,6 @@ impl GroupPrefetch {
         local: &LocalPartition,
         group: &[VertexId],
         cache: &mut ForeignVertexCache,
-        governor: &MemoryGovernor,
         stats: &mut EngineStats,
     ) {
         if !self.enabled {
@@ -1033,7 +1066,7 @@ impl GroupPrefetch {
         if (1..PREFETCH_MIN_WAIT_MICROS).contains(&stats.fetch_wait_micros) {
             return;
         }
-        let quota = governor.prefetch_quota(cache.len(), cache.memory_bytes());
+        let quota = cache.prefetch_quota();
         if quota == 0 {
             return;
         }
@@ -1261,38 +1294,40 @@ fn verify_and_filter(
     for edge in remote {
         by_owner.entry(ctx.ownership().owner(edge.lo)).or_default().push((edge.lo, edge.hi));
     }
-    let record = |verdicts: &mut HashMap<EdgeKey, bool>,
-                      pairs: Vec<(VertexId, VertexId)>,
-                      answers: Vec<bool>| {
-        for ((u, v), exists) in pairs.into_iter().zip(answers) {
+    // The pairs are read back from the request itself — kept anyway, for
+    // harvest's retry re-issue — so the only copy made is the one sent.
+    let record = |verdicts: &mut HashMap<EdgeKey, bool>, request: &Request, answers: Vec<bool>| {
+        let Request::VerifyEdges(pairs) = request else {
+            unreachable!("only verifyE requests are recorded")
+        };
+        for (&(u, v), exists) in pairs.iter().zip(answers) {
             verdicts.insert(EdgeKey::new(u, v), exists);
         }
     };
-    // (pairs sent, the request for harvest's retry re-issue, the handle)
-    type PendingVerify = (Vec<(VertexId, VertexId)>, Request, PendingResponse);
-    let mut pending: Vec<PendingVerify> = Vec::new();
-    for (&owner, pairs) in &by_owner {
+    let mut pending: Vec<(Request, PendingResponse)> = Vec::new();
+    for (owner, pairs) in by_owner {
         stats.verify_requests += 1;
-        let request = Request::VerifyEdges(pairs.clone());
+        let request = Request::VerifyEdges(pairs);
         match driver {
             RoundDriver::Serial => {
-                match ctx.request(owner, request).unwrap_or_else(|e| transport_failed(ctx, e)) {
-                    Response::EdgeVerification(answers) => {
-                        record(&mut verdicts, pairs.clone(), answers)
-                    }
+                match ctx
+                    .request(owner, request.clone())
+                    .unwrap_or_else(|e| transport_failed(ctx, e))
+                {
+                    Response::EdgeVerification(answers) => record(&mut verdicts, &request, answers),
                     other => unexpected_response(ctx, "verifyE", owner, None, &other),
                 }
             }
             RoundDriver::Async => {
                 let p = ctx.request_async(owner, request.clone());
-                pending.push((pairs.clone(), request, p));
+                pending.push((request, p));
             }
         }
     }
-    for (pairs, request, p) in pending {
+    for (request, p) in pending {
         let (owner, correlation) = (p.to(), p.correlation());
         match ctx.harvest(p, owner, &request).unwrap_or_else(|e| transport_failed(ctx, e)) {
-            Response::EdgeVerification(answers) => record(&mut verdicts, pairs, answers),
+            Response::EdgeVerification(answers) => record(&mut verdicts, &request, answers),
             other => unexpected_response(ctx, "verifyE", owner, correlation, &other),
         }
     }

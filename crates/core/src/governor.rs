@@ -134,23 +134,6 @@ impl MemoryGovernor {
         self.would_overflow(tracked_bytes, self.max_root_delta)
     }
 
-    /// How many foreign vertices the async round driver may prefetch for an
-    /// upcoming region group, given the current cache occupancy: the number
-    /// of mean-observed-size entries that still fit in the cache allowance.
-    /// Prefetched adjacency parks in the foreign-vertex cache, so the window
-    /// is bounded by the *cache* budget rather than `Φ` — overrunning it
-    /// would evict the very entries the in-flight group is about to use.
-    /// Before any entry is observed, a conservative small-degree entry cost
-    /// seeds the estimate.
-    pub fn prefetch_quota(&self, cache_entries: usize, cache_bytes: usize) -> usize {
-        let free = self.budget.cache_bytes.saturating_sub(cache_bytes);
-        let per_entry = cache_bytes
-            .checked_div(cache_entries)
-            .map(|per| per.max(1))
-            .unwrap_or_else(|| crate::cache::ForeignVertexCache::entry_bytes(8));
-        free / per_entry
-    }
-
     /// Feeds back the byte delta one start candidate's round-0 expansion
     /// produced.
     pub fn observe_candidate_delta(&mut self, delta_bytes: usize) {

@@ -11,6 +11,9 @@
 //!   most once per round, no matter how many candidates share it.
 //! * [`cache`] — the foreign-vertex cache: adjacency lists fetched from other
 //!   machines are kept and never re-fetched (Appendix B).
+//! * [`store`] — the resident foreign-adjacency store: keeps a machine's
+//!   caches between queries, so "never re-fetched" holds for as long as the
+//!   machine's partition stays loaded, not just for one query.
 //! * [`sme`] — **SM-E**, the single-machine enumeration phase (Section 3.1):
 //!   start candidates whose border distance is at least the span of the start
 //!   query vertex are processed entirely locally.
@@ -44,6 +47,7 @@ pub mod obs;
 pub mod plancache;
 pub mod region;
 pub mod sme;
+pub mod store;
 pub mod system;
 pub mod trie;
 
@@ -52,8 +56,10 @@ pub use engine::{RoundDriver, ROUND_DRIVER_ENV};
 pub use governor::MemoryGovernor;
 pub use memory::{MemoryBudget, SpaceEstimator};
 pub use plancache::{canonical_signature, PatternSignature, PlanCache};
+pub use store::ForeignStore;
 pub use system::{
-    estimate_query_footprint, run_rads, run_rads_wrapped, MachineReport, RadsConfig, RadsOutcome,
+    estimate_query_footprint, run_rads, run_rads_resident, run_rads_wrapped, MachineReport,
+    RadsConfig, RadsOutcome,
     RegionGroupStrategy,
 };
 pub use trie::{EmbeddingTrie, NodeId};

@@ -27,6 +27,7 @@ use crate::daemon::{new_group_queue, GroupQueue, RadsDaemon};
 use crate::engine::{run_machine, EngineConfig, EngineStats, RoundDriver};
 use crate::memory::MemoryBudget;
 use crate::region::GroupingStrategy;
+use crate::store::ForeignStore;
 
 /// Re-export used by the configuration below.
 pub use crate::region::GroupingStrategy as RegionGroupStrategy;
@@ -81,9 +82,9 @@ pub struct RadsConfig {
     /// engine runs the paper's sequential code path inline — no pool thread
     /// is spawned. Only communication-volume numbers (cache hits/misses,
     /// `fetchV`/`verifyE` request counts and therefore traffic bytes) may
-    /// vary with `workers > 1`, because foreign-vertex caches are
-    /// worker-private and which worker's cache already holds a vertex
-    /// depends on the schedule.
+    /// vary with `workers > 1`, because each worker drains against a
+    /// foreign-vertex cache of its own and which worker's cache already
+    /// holds a vertex depends on the schedule.
     ///
     /// `Default` reads the `RADS_WORKERS` environment variable (see
     /// [`rads_exec::workers_from_env`]), defaulting to 1.
@@ -278,20 +279,49 @@ impl RadsOutcome {
 ///
 /// # Cluster-reuse contract
 ///
-/// A `Cluster` may answer any number of `run_rads` calls (this is what
-/// serving mode does), and every call behaves as if it were the first:
-/// region-group queues, daemons, foreign-vertex caches, `EngineStats` and
-/// traffic counters are created fresh *per invocation* — nothing carries
-/// over, so a run's [`RadsOutcome`] is a pure function of
+/// A `Cluster` may answer any number of `run_rads` calls, and every call
+/// behaves as if it were the first: region-group queues, daemons, the
+/// machines' [`ForeignStore`]s (and with them every foreign-vertex cache),
+/// `EngineStats` and traffic counters are created fresh *per invocation* —
+/// nothing carries over, so a run's [`RadsOutcome`] is a pure function of
 /// `(cluster dataset, pattern, config)` and repeated runs of the same
-/// query return identical counts and per-machine stats. The one deliberate
-/// exception is the **process-global metrics registry**
+/// query return identical counts, per-machine stats and traffic. The one
+/// deliberate exception is the **process-global metrics registry**
 /// ([`rads_obs::Registry::global`]): it accumulates across runs by design
 /// (Prometheus wants cumulative counters); callers that need per-run
 /// figures diff snapshots with
 /// [`rads_obs::MetricsSnapshot::delta_since`].
+///
+/// Serving mode keeps one more thing on purpose — the foreign adjacency its
+/// queries fetched: [`run_rads_resident`] is this function over stores the
+/// caller keeps. Counts are identical; only the communication a later run
+/// no longer needs differs.
 pub fn run_rads(cluster: &Cluster, pattern: &Pattern, config: &RadsConfig) -> RadsOutcome {
     run_rads_wrapped(cluster, pattern, config, |_machine, transport| transport)
+}
+
+/// [`run_rads`] on a cluster whose machines keep their foreign adjacency
+/// between runs, the way a resident `serve` machine does: `stores[m]` is
+/// machine `m`'s [`ForeignStore`], and whatever this run fetches is there
+/// for the next run handed the same stores. That is sound for as long as
+/// the stores are only ever used with this cluster's partitioned graph
+/// (entries are whole owner-served adjacency lists of a graph that does not
+/// change). Embedding counts — total, per machine and collected — equal
+/// [`run_rads`]'s; a warm run sends fewer `fetchV` / `verifyE` requests, and
+/// its cache counters cover this run only. `config.memory_budget` keeps
+/// bounding `Φ`; the stores' own allowance, fixed when they were built,
+/// bounds the cached bytes.
+///
+/// # Panics
+///
+/// If `stores` does not hold exactly one store per machine.
+pub fn run_rads_resident(
+    cluster: &Cluster,
+    pattern: &Pattern,
+    config: &RadsConfig,
+    stores: &[ForeignStore],
+) -> RadsOutcome {
+    run_rads_on(cluster, pattern, config, stores, |_machine, transport| transport)
 }
 
 /// [`run_rads`] with a [`Transport`] wrapper interposed between every
@@ -305,6 +335,20 @@ pub fn run_rads_wrapped(
     config: &RadsConfig,
     wrap: impl Fn(usize, Arc<dyn Transport>) -> Arc<dyn Transport> + Send + Sync,
 ) -> RadsOutcome {
+    let stores: Vec<ForeignStore> = (0..cluster.machines())
+        .map(|_| ForeignStore::new(config.memory_budget.cache_bytes))
+        .collect();
+    run_rads_on(cluster, pattern, config, &stores, wrap)
+}
+
+fn run_rads_on(
+    cluster: &Cluster,
+    pattern: &Pattern,
+    config: &RadsConfig,
+    stores: &[ForeignStore],
+    wrap: impl Fn(usize, Arc<dyn Transport>) -> Arc<dyn Transport> + Send + Sync,
+) -> RadsOutcome {
+    assert_eq!(stores.len(), cluster.machines(), "one foreign store per machine");
     let plan = config
         .plan_override
         .clone()
@@ -347,7 +391,8 @@ pub fn run_rads_wrapped(
             pattern,
             &plan_for_engines,
             &engine_config,
-            queues_for_engines[ctx.machine()].clone(),
+            queues_for_engines[machine].clone(),
+            &stores[machine],
         )
     });
 

@@ -39,7 +39,8 @@
 //! fit *waits* (FIFO-ish on the scheduler's condvar) rather than being
 //! rejected. An admitted query is still governed at runtime by the
 //! per-machine memory governor (budget Φ applies per query, so the
-//! worst-case resident footprint is `max_concurrent · Φ`); admission is a
+//! worst-case footprint of intermediate results is `max_concurrent · Φ`,
+//! beside the resident foreign-vertex caches bounded below); admission is a
 //! cheap front gate, not the enforcement mechanism.
 //!
 //! # Worker loss
@@ -51,28 +52,46 @@
 //!
 //! # State the queries share — and the reuse contract
 //!
-//! A resident cluster must not bleed state between queries — including
+//! A resident cluster must not bleed *results* between queries — including
 //! between *concurrent* queries. Per query, every machine constructs a
 //! fresh region-group queue and [`RadsDaemon`] (installed into its
 //! [`ServeDaemon`] routing table under the query's id for the duration of
-//! the run); engine stats, the embedding trie and the foreign-vertex
-//! cache live inside `run_machine` and die with it. What intentionally
-//! persists: the partitioned graph, the plan cache ([`PlanCache`] — keyed
-//! by canonical pattern signature, hits observable as
-//! `rads_plan_cache_hits_total`), and the process-global metrics registry,
-//! which stays *cumulative* (that is what the Prometheus page serves).
+//! the run); engine stats and the embedding trie live inside `run_machine`
+//! and die with it. What intentionally persists:
+//!
+//! * the partitioned graph;
+//! * the plan cache ([`PlanCache`] — keyed by canonical pattern signature,
+//!   hits observable as `rads_plan_cache_hits_total`);
+//! * the process-global metrics registry, which stays *cumulative* (that is
+//!   what the Prometheus page serves);
+//! * **the foreign adjacency the queries fetched** — each machine's
+//!   [`ForeignStore`]. `run_machine` checks its foreign-vertex caches out of
+//!   the store and back in, so a query starts with every adjacency list
+//!   earlier queries paid a `fetchV` for, and decides the undetermined edges
+//!   touching them locally instead of by `verifyE`. Sound because the
+//!   resident graph is immutable and an entry is a whole adjacency list as
+//!   its owner served it: nothing can go stale, nothing needs invalidating,
+//!   and counts equal a cold run's. The first query after launch is the
+//!   cold one (`rads-node run` is exactly that query). The store holds at
+//!   most `--max-concurrent-queries × --workers` caches — one per drain loop
+//!   that ever ran at once — each an LRU held to the **startup** budget's
+//!   cache allowance: the bound the per-query caches had, resident instead
+//!   of transient. `--no-cache` bypasses the store.
+//!
 //! Per-query metrics are computed via a per-query epoch ledger
 //! ([`rads_obs::EpochLedger`]): each query diffs the cluster-wide registry
 //! against the baseline captured at **its own** admission, so overlapping
 //! queries never steal each other's baseline. Under overlap a query's
 //! delta is a conservative superset (it includes work a concurrently
 //! running query did inside its window); for serialized queries it is
-//! exact.
+//! exact. The cache counters feeding it are per query too (deltas between
+//! check-out and check-in, not a resident cache's lifetime totals).
 //!
 //! The engine's memory budget is resolved **once at startup** (explicit
 //! `--budget` flag or one read of `RADS_MEMORY_BUDGET`); a per-query
-//! client override applies to that query only. The environment is never
-//! re-read while serving.
+//! client override bounds `Φ` for that query only — it neither resizes nor
+//! empties the resident caches. The environment is never re-read while
+//! serving.
 
 use std::collections::HashMap;
 use std::net::TcpListener;
@@ -85,7 +104,7 @@ use std::time::{Duration, Instant};
 use rads_core::daemon::{new_group_queue, RadsDaemon};
 use rads_core::engine::{run_machine, EngineConfig};
 use rads_core::memory::MemoryBudget;
-use rads_core::{estimate_query_footprint, PlanCache};
+use rads_core::{estimate_query_footprint, ForeignStore, PlanCache};
 use rads_graph::queries;
 use rads_obs::{EpochLedger, MetricsHttpServer, MetricsSnapshot, Registry};
 use rads_partition::{MachineId, PartitionedGraph};
@@ -593,6 +612,9 @@ struct Machine {
     daemon: Arc<ServeDaemon>,
     stats: Arc<NetworkStats>,
     plan_cache: PlanCache,
+    /// The foreign adjacency this machine's queries have fetched so far,
+    /// kept for as long as the partition is (see the module docs).
+    foreign: ForeignStore,
     /// The startup snapshot every query without a client override runs
     /// under ([`startup_budget`]).
     base_budget: MemoryBudget,
@@ -622,6 +644,7 @@ impl Machine {
         let node =
             SocketNode::start_with_listener(id, addrs, listener, daemon.clone(), stats.clone());
         let ctx = MachineContext::assemble(partitioned.clone(), node.transport(), daemon.clone());
+        let base_budget = startup_budget(spec);
         Ok(Machine {
             spec: spec.clone(),
             id,
@@ -632,14 +655,17 @@ impl Machine {
             prev_wire: StdMutex::new(stats.snapshot()),
             stats,
             plan_cache: PlanCache::new(),
-            base_budget: startup_budget(spec),
+            foreign: ForeignStore::new(base_budget.cache_bytes),
+            base_budget,
         })
     }
 
     /// The engine configuration of one query — mirrors
     /// `RadsConfig::default()` so a multi-process run is comparable 1:1
     /// with `run_rads` on an in-process cluster. Never consults the
-    /// environment.
+    /// environment. A `budget_override` reaches `Φ` (and the scratch cache
+    /// of a `--no-cache` run) only: the resident caches keep the allowance
+    /// `foreign` was built with.
     fn engine_config(&self, budget_override: Option<u64>) -> EngineConfig {
         let default_chunk = EngineConfig::default().fetch_chunk_vertices;
         EngineConfig {
@@ -708,7 +734,7 @@ impl Machine {
                     })
                     .expect("spawn metrics ticker thread");
             }
-            let output = run_machine(&qctx, &pattern, &plan, &config, queue);
+            let output = run_machine(&qctx, &pattern, &plan, &config, queue, &self.foreign);
             drop(stop);
             output
         });

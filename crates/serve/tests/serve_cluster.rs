@@ -2,7 +2,10 @@
 //! Unix-domain sockets must answer a stream of queries with counts
 //! bit-identical to one-shot runs, serve its plan cache (observable as a
 //! `plan_cache_hit` on a repeated query), keep a live Prometheus page, and
-//! reject over-budget queries at admission instead of dispatching them.
+//! reject over-budget queries at admission instead of dispatching them. It
+//! must also *keep* what its queries fetched: a query that finds the foreign
+//! adjacency earlier queries paid for ships a fraction of the bytes, whatever
+//! per-query budgets ran in between.
 //!
 //! This is the test the `serve` CI job runs under a hard timeout (via
 //! `--ignored`, like the `cluster-smoke` job). Every blocking step has its
@@ -24,6 +27,7 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use rads_bench::build_cluster;
+use rads_serve::json::Json;
 use rads_serve::serve::{client_round_trip, ClientOp, QueryReply};
 use rads_core::{run_rads, RadsConfig, RoundDriver};
 use rads_datasets::{generate, DatasetKind, Scale};
@@ -249,6 +253,77 @@ fn json_u64_field(line: &str, field: &str) -> u64 {
     let rest = &line[at + key.len()..];
     let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
     digits.parse().unwrap_or_else(|_| panic!("non-numeric {field:?} in {line:?}"))
+}
+
+/// The bytes the cluster put on its fabric for one query: the
+/// `rads_net_bytes_total` counter of the reply's own metrics delta.
+fn wire_bytes(metrics_json: &str) -> u64 {
+    Json::parse(metrics_json)
+        .ok()
+        .and_then(|delta| {
+            delta.get("metrics")?.get("rads_net_bytes_total")?.get("value")?.as_u64()
+        })
+        .unwrap_or_else(|| panic!("no rads_net_bytes_total counter in {metrics_json}"))
+}
+
+/// Foreign adjacency outlives the query. On one resident cluster: q4 three
+/// times, q4 under a 64 KiB per-query budget, q4 once more, then two
+/// overlapping q5. Every count is the one-shot golden, and every default-
+/// budget q4 after the first ships fewer bytes than the cold one did.
+///
+/// How many fewer, for a query repeated on its own: measured 0.73–0.91 of
+/// cold for the third q4 and 0.59–0.71 for the one after the override (20
+/// launches of this spec) — not the "under a tenth" ISSUE 13 expected. The
+/// store keeps adjacency, and q4's `verifyE` traffic is for edges between
+/// two leaves that q4's plan never fetches; the saving arrives once *other*
+/// plans have made those leaves pivots, as in the benchmark's query mixes
+/// (`lj-heavy`: 0.02 of the parent's bytes). Keeping `verifyE` verdicts is
+/// the open follow-up (ROADMAP item 3). The budget override bounds `Φ` for
+/// its own query only: it splits into more region groups (and ships more
+/// than the cold q4), but must neither fail nor empty the resident caches.
+#[test]
+#[ignore = "multi-process resident cluster; run by the serve CI job via --ignored"]
+fn foreign_adjacency_outlives_the_query() {
+    let dataset = generate(DatasetKind::LiveJournal, Scale(SCALE), SEED);
+    let cluster = build_cluster(&dataset.graph, MACHINES);
+    let golden = |name: &str| {
+        let pattern = queries::query_by_name(name).expect("known query");
+        run_rads(&cluster, &pattern, &RadsConfig::default()).total_embeddings
+    };
+    let (q4, q5) = (golden("q4"), golden("q5"));
+
+    let (guard, client_addr, _http) = start_serve(&["--max-concurrent-queries", "2"]);
+    let submit = |name: &str, budget: Option<u64>, want: u64| -> u64 {
+        let op = ClientOp::Query { pattern: name.to_string(), budget };
+        match client_round_trip(&client_addr, &op, 3).expect("query round trip") {
+            QueryReply::Ok { count, metrics_json, .. } => {
+                assert_eq!(count, want, "{name} (budget {budget:?}) deviates from the golden");
+                wire_bytes(&metrics_json)
+            }
+            other => panic!("{name} (budget {budget:?}): expected Ok, got {other:?}"),
+        }
+    };
+    let cold = submit("q4", None, q4);
+    submit("q4", None, q4);
+    let third = submit("q4", None, q4);
+    assert!(
+        third < cold,
+        "the third q4 shipped {third} B, the cold one {cold} B: the store did not outlive the query"
+    );
+    submit("q4", Some(64 << 10), q4);
+    let after_override = submit("q4", None, q4);
+    assert!(
+        after_override < cold,
+        "q4 shipped {after_override} B after a --budget 64k query, {cold} B cold: \
+         the override reached the resident caches"
+    );
+    std::thread::scope(|scope| {
+        let overlapped: Vec<_> = (0..2).map(|_| scope.spawn(|| submit("q5", None, q5))).collect();
+        for handle in overlapped {
+            handle.join().expect("overlapped q5");
+        }
+    });
+    shutdown(guard, &client_addr);
 }
 
 /// Concurrency equivalence on the in-process transport, both round

@@ -232,7 +232,8 @@ fn mis_tagged_fetch_response_names_machine_and_correlation() {
     let plan = best_plan(&pattern, &PlannerConfig { rho: 1.0 });
     let config = EngineConfig { driver: RoundDriver::Async, ..EngineConfig::default() };
     let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_machine(&ctx, &pattern, &plan, &config, queue)
+        let store = rads_core::ForeignStore::new(config.budget.cache_bytes);
+        run_machine(&ctx, &pattern, &plan, &config, queue, &store)
     }))
     .expect_err("a mis-tagged fetchV response must abort the run");
     let message = panic

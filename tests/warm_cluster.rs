@@ -9,11 +9,16 @@
 //! * the two q1 answers of the warm stream are identical to each other —
 //!   nothing the q5 run left behind (daemons, queues, caches, stats,
 //!   traffic counters) leaks into the second q1.
+//!
+//! The second half pins the one thing a resident machine *does* keep — the
+//! foreign adjacency in its `ForeignStore` ([`run_rads_resident`]): counts
+//! never move, a warm store sends fewer requests, and the per-query cache
+//! counters stay per query.
 
 use std::sync::Arc;
 
 use rads::prelude::*;
-use rads_core::RoundDriver;
+use rads_core::{run_rads_resident, ForeignStore, MemoryBudget, RoundDriver};
 use rads_graph::queries;
 
 const MACHINES: usize = 3;
@@ -127,5 +132,150 @@ fn repeated_runs_do_not_accumulate_stats_or_traffic() {
     for (machine, (a, b)) in first.per_machine.iter().zip(&second.per_machine).enumerate() {
         assert_eq!(a.count, b.count, "machine {machine} count drifted");
         assert_eq!(a.stats, b.stats, "machine {machine} EngineStats carried state over");
+    }
+}
+
+/// q1–q8 and the clique set c1–c4: every standard query of the paper.
+fn all_queries() -> Vec<queries::NamedQuery> {
+    let mut all = queries::standard_query_set();
+    all.extend(queries::clique_query_set());
+    all
+}
+
+/// A configuration with everything the environment could flip pinned, `Φ`
+/// at its default and the cache allowance at `allowance`. Load sharing is
+/// off because which machine steals a group is a race, and the tests below
+/// compare *per-machine* figures between runs.
+fn resident_config(allowance: usize, workers: usize, driver: RoundDriver) -> RadsConfig {
+    RadsConfig {
+        enable_load_sharing: false,
+        memory_budget: MemoryBudget { cache_bytes: allowance, ..MemoryBudget::default() },
+        workers,
+        round_driver: driver,
+        ..RadsConfig::default()
+    }
+}
+
+fn stores(allowance: usize) -> Vec<ForeignStore> {
+    (0..MACHINES).map(|_| ForeignStore::new(allowance)).collect()
+}
+
+fn counts(outcome: &RadsOutcome) -> (u64, Vec<u64>) {
+    (outcome.total_embeddings, outcome.per_machine.iter().map(|m| m.count).collect())
+}
+
+#[test]
+fn a_resident_store_never_changes_a_count() {
+    let cluster = Cluster::new(partitioned());
+    let queries = all_queries();
+    let default_allowance = MemoryBudget::default().cache_bytes;
+    // 4 KiB holds a fraction of what the queries fetch, so the second
+    // allowance runs every query against a cache that is evicting what
+    // earlier queries left in it
+    for allowance in [default_allowance, 4096] {
+        for workers in [1, 4] {
+            for driver in [RoundDriver::Serial, RoundDriver::Async] {
+                let config = resident_config(allowance, workers, driver);
+                let leg = format!("allowance {allowance}, {workers} worker(s), {driver:?}");
+                let fresh: Vec<(u64, Vec<u64>)> = queries
+                    .iter()
+                    .map(|query| counts(&run_rads(&cluster, &query.pattern, &config)))
+                    .collect();
+                let stores = stores(allowance);
+                let mut evictions = [0u64; 2];
+                for (pass, pass_evictions) in evictions.iter_mut().enumerate() {
+                    for (query, expected) in queries.iter().zip(&fresh) {
+                        let outcome =
+                            run_rads_resident(&cluster, &query.pattern, &config, &stores);
+                        assert_eq!(
+                            &counts(&outcome),
+                            expected,
+                            "{}, pass {pass}: resident counts deviate from a fresh store ({leg})",
+                            query.name
+                        );
+                        *pass_evictions += outcome.cache_evictions();
+                        for (machine, store) in stores.iter().enumerate() {
+                            assert!(
+                                store.idle_caches() <= workers,
+                                "machine {machine} pools {} caches ({leg})",
+                                store.idle_caches()
+                            );
+                            assert!(
+                                store.resident_bytes() <= store.idle_caches() * allowance,
+                                "machine {machine} holds {} B in {} caches ({leg})",
+                                store.resident_bytes(),
+                                store.idle_caches()
+                            );
+                        }
+                    }
+                }
+                if allowance == 4096 {
+                    assert!(
+                        evictions[1] > 0,
+                        "the small allowance never evicted across queries ({leg})"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_warm_store_sends_fewer_requests_and_reports_only_its_own_lookups() {
+    // One worker and no eviction: each machine has a single cache that only
+    // grows, so the request counts are deterministic and the second pass is
+    // comparable with the first machine by machine. (With several workers,
+    // which of a machine's caches serves a group is a race; at a small
+    // allowance a later query may find less than an earlier one left.)
+    let allowance = MemoryBudget::default().cache_bytes;
+    let cluster = Cluster::new(partitioned());
+    let queries = all_queries();
+    for driver in [RoundDriver::Serial, RoundDriver::Async] {
+        let config = resident_config(allowance, 1, driver);
+        let stores = stores(allowance);
+        let requests = |outcome: &RadsOutcome| -> Vec<u64> {
+            outcome
+                .per_machine
+                .iter()
+                .map(|m| m.stats.fetch_requests + m.stats.verify_requests)
+                .collect()
+        };
+        let lookups = |outcome: &RadsOutcome| -> Vec<u64> {
+            outcome.per_machine.iter().map(|m| m.stats.cache_hits + m.stats.cache_misses).collect()
+        };
+        let first: Vec<Vec<u64>> = queries
+            .iter()
+            .map(|query| requests(&run_rads_resident(&cluster, &query.pattern, &config, &stores)))
+            .collect();
+        assert!(
+            first.iter().flatten().any(|&n| n > 0),
+            "the first pass never went to the network: nothing to compare ({driver:?})"
+        );
+        let mut looked_up = 0;
+        for (query, first) in queries.iter().zip(&first) {
+            let name = query.name;
+            let cold = run_rads(&cluster, &query.pattern, &config);
+            let warm = run_rads_resident(&cluster, &query.pattern, &config, &stores);
+            for (machine, (&before, &after)) in first.iter().zip(&requests(&warm)).enumerate() {
+                assert!(
+                    after < before || (before == 0 && after == 0),
+                    "{name}, machine {machine}: {after} requests warm after {before} ({driver:?})"
+                );
+            }
+            // A pivot lookup is recorded per expanded parent, and a warm
+            // cache only ever prunes parents earlier (the degree filter), so
+            // a query's own lookups are bounded by a cold run's; a cache
+            // reporting its lifetime totals would be far past that by now.
+            for (machine, (&cold, &warm)) in lookups(&cold).iter().zip(&lookups(&warm)).enumerate() {
+                assert!(
+                    warm <= cold,
+                    "{name}, machine {machine}: {warm} lookups reported, a cold run has {cold} \
+                     — counters of earlier queries leaked in ({driver:?})"
+                );
+                looked_up += warm;
+            }
+            assert_eq!(warm.cache_evictions(), 0, "{name}: the default allowance evicted");
+        }
+        assert!(looked_up > 0, "no query looked anything up: the bound above is vacuous");
     }
 }
