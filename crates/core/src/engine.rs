@@ -75,6 +75,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
+use parking_lot::Mutex;
 use rads_exec::{scoped_workers, ExecConfig, InflightWindow};
 use rads_graph::{Pattern, SymmetryBreaking, VertexId};
 use rads_graph::types::EdgeKey;
@@ -229,7 +230,11 @@ pub struct EngineStats {
     pub groups_created: usize,
     /// Region groups processed (own + stolen).
     pub groups_processed: usize,
-    /// Region groups stolen from other machines.
+    /// Region groups stolen from other machines: groups *received*, not
+    /// `shareR` replies — one reply hands over half the victim's queue. A
+    /// group stolen twice (queued by one thief, taken by another) counts on
+    /// both. Feeds `rads_groups_stolen_total` and the benchmark's
+    /// `core.region.groups_stolen_share`.
     pub groups_stolen: usize,
     /// Peak number of live trie nodes over all region groups.
     pub peak_trie_nodes: usize,
@@ -490,6 +495,9 @@ pub fn run_machine(
     let mut query_span = rads_obs::span("query", "engine");
     query_span.attr("machine", ctx.machine() as u64);
     query_span.attr("workers", config.workers as u64);
+    // peers' checkR waits for the publication below: make it happen (empty)
+    // even if SM-E or grouping unwinds, so no peer waits out the limit
+    let unwind_guard = PublishOnDrop(&group_queue);
 
     // ---- Phase 1: SM-E -----------------------------------------------------
     let mut sme_span = rads_obs::span("sme", "engine");
@@ -517,7 +525,14 @@ pub fn run_machine(
     grouping_span.attr("groups", groups.len() as u64);
     drop(grouping_span);
     output.stats.groups_created = groups.len();
-    group_queue.lock().extend(groups);
+    // The group this machine starts on is never published: a thief released
+    // by the publication would otherwise race the owner for it, and win
+    // whenever the owner is descheduled — taking work its owner was about to
+    // begin, at the price of fetching its adjacency.
+    let mut groups = groups.into_iter();
+    let first = Mutex::new(groups.next());
+    group_queue.publish(groups);
+    drop(unwind_guard);
 
     // ---- Phases 3 + 4: drain region groups on the worker pool ----------------
     // The shared queue doubles as the pool's injector; it must stay the
@@ -527,7 +542,10 @@ pub fn run_machine(
     // inline on the engine thread — the paper's sequential path, unchanged.
     let estimator = sme.estimator;
     let worker_outputs = scoped_workers(exec.effective_workers(), |_worker| {
-        drain_region_groups(ctx, pattern, plan, &symmetry, &group_queue, config, estimator, store)
+        let first = first.lock().take();
+        drain_region_groups(
+            ctx, pattern, plan, &symmetry, first, &group_queue, config, estimator, store,
+        )
     });
     for worker_output in worker_outputs {
         output.absorb(worker_output);
@@ -551,9 +569,19 @@ pub fn run_machine(
     output
 }
 
-/// One pool worker's share of phases 3 and 4: process local region groups
-/// until the machine's queue is empty, then steal groups from the most
-/// loaded other machine (checkR / shareR) until the cluster has none left.
+/// Publishes its queue (adding nothing) when dropped.
+struct PublishOnDrop<'a>(&'a GroupQueue);
+
+impl Drop for PublishOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.publish([]);
+    }
+}
+
+/// One pool worker's share of phases 3 and 4: process `first` (if given) and
+/// then local region groups until the machine's queue is empty, then steal
+/// groups from the most loaded other machine (checkR / shareR) until the
+/// cluster has none left.
 /// Exactly the sequential drain loop, against a worker-private governor and
 /// output and a cache checked out of `store` for the length of the drain. A
 /// drain that unwinds (see [`transport_failed`]) never checks its cache back
@@ -569,6 +597,7 @@ fn drain_region_groups(
     pattern: &Pattern,
     plan: &ExecutionPlan,
     symmetry: &SymmetryBreaking,
+    mut first: Option<Vec<VertexId>>,
     group_queue: &GroupQueue,
     config: &EngineConfig,
     estimator: SpaceEstimator,
@@ -597,7 +626,7 @@ fn drain_region_groups(
     loop {
         let (group, upcoming) = {
             let mut queue = group_queue.lock();
-            let group = queue.pop_front();
+            let group = first.take().or_else(|| queue.pop_front());
             let upcoming = group.is_some().then(|| queue.front().cloned()).flatten();
             (group, upcoming)
         };
@@ -640,23 +669,28 @@ fn drain_region_groups(
             if pending == 0 {
                 break;
             }
-            // shareR pops the target's queue — not idempotent, so a failure
+            // shareR drains the target's queue — not idempotent, so a failure
             // is returned on first error, never blindly re-sent (a duplicate
-            // could lose a region group). Terminal for this machine.
+            // could lose region groups). Terminal for this machine.
             match ctx
                 .request(target, Request::ShareRegionGroup)
                 .unwrap_or_else(|e| transport_failed(ctx, e))
             {
-                Response::RegionGroup(Some(group)) => {
-                    // A stolen group that overflows is split onto *this*
-                    // machine's queue — the thief keeps the shed work.
+                Response::RegionGroups(groups) if !groups.is_empty() => {
+                    output.stats.groups_stolen += groups.len();
+                    // Run the first stolen group; the rest wait on *this*
+                    // machine's queue, where a third machine's shareR can
+                    // take them. A stolen group that overflows is split onto
+                    // the same queue — the thief keeps the shed work.
+                    let mut groups = groups.into_iter();
+                    let first = groups.next().expect("non-empty");
+                    group_queue.lock().extend(groups);
                     process_region_group(
-                        ctx, pattern, plan, symmetry, &group, &mut cache, &mut expander,
+                        ctx, pattern, plan, symmetry, &first, &mut cache, &mut expander,
                         &mut governor, group_queue, config, &mut output,
                     );
                     output.stats.groups_processed += 1;
-                    output.stats.groups_stolen += 1;
-                    // drain any shed work before stealing more
+                    // drain the rest and any shed work before stealing more
                     loop {
                         let local_group = group_queue.lock().pop_front();
                         let Some(local_group) = local_group else { break };
@@ -668,7 +702,7 @@ fn drain_region_groups(
                     }
                 }
                 // Someone else got there first; re-check the cluster.
-                Response::RegionGroup(None) => continue,
+                Response::RegionGroups(_) => continue,
                 _ => break,
             }
         }

@@ -6,8 +6,15 @@
 //! greedily by *proximity* — the fraction of a candidate's neighbours that
 //! are already neighbours of the group — so candidates in one group share
 //! verification edges and foreign-vertex fetches.
+//!
+//! Grouping runs before any expansion on every machine of every query, and
+//! the governor re-runs it on every spill, so it is built to cost
+//! O(Σ d² log n) rather than the O(n² d) of rescanning every waiting
+//! candidate per member added, while returning the same groups in the same
+//! order (see [`find_region_groups`] for the exact tie rule;
+//! `tests/region_grouping.rs` keeps the rescan as the oracle).
 
-use std::collections::HashSet;
+use std::collections::{BinaryHeap, HashMap, HashSet};
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -62,6 +69,26 @@ pub fn foreign_members(
 ///   into chunks of the same maximum size.
 ///
 /// Every candidate appears in exactly one group and every group is non-empty.
+///
+/// **Tie rule.** The candidates are shuffled by `seed` into a waiting list.
+/// A group starts with the list's *last* entry (`pop`); each further member
+/// is the entry of maximum [`proximity`] to the group's united
+/// neighbourhood — the `f64` value `shared / degree` — with ties going to
+/// the **highest position** in the list, and it leaves the list by
+/// `swap_remove` (the tail entry moves into its hole). That is exactly a
+/// rescan with `Iterator::max_by`, which returns the last maximum.
+///
+/// **Cost.** O(Σ d² log n) rather than the rescan's O(n² d): every
+/// candidate's adjacency is looked up once and renamed to dense neighbour
+/// ids, and a reverse index maps each neighbour to the candidates adjacent
+/// to it. Per candidate the loop keeps the count of its neighbours already
+/// in the group's neighbourhood; when a neighbour first enters it, only the
+/// waiting candidates on that neighbour's reverse list are bumped, and each
+/// bump pushes a `(proximity, position)` entry on a max-heap. Stale entries
+/// (a later bump, a moved or departed slot) are dropped when they surface.
+/// A candidate sharing no neighbour has proximity 0, below every heap
+/// entry, so an empty heap means the tie rule's pick: the last waiting
+/// entry. Only the touched counts are reset when a group ends.
 pub fn find_region_groups(
     local: &LocalPartition,
     candidates: &[VertexId],
@@ -72,45 +99,130 @@ pub fn find_region_groups(
 ) -> Vec<Vec<VertexId>> {
     let mut rng = StdRng::seed_from_u64(seed);
     let max_size = estimator.max_group_size(budget);
-    let mut remaining: Vec<VertexId> = candidates.to_vec();
-    remaining.shuffle(&mut rng);
-    let mut groups = Vec::new();
+    let mut shuffled: Vec<VertexId> = candidates.to_vec();
+    shuffled.shuffle(&mut rng);
     match strategy {
-        GroupingStrategy::Random => {
-            for chunk in remaining.chunks(max_size) {
-                groups.push(chunk.to_vec());
-            }
-        }
+        GroupingStrategy::Random => shuffled.chunks(max_size).map(<[VertexId]>::to_vec).collect(),
         GroupingStrategy::Proximity => {
-            while let Some(first) = remaining.pop() {
-                let mut group = vec![first];
-                let mut neighborhood: HashSet<VertexId> =
-                    local.neighbors(first).map(|n| n.iter().copied().collect()).unwrap_or_default();
-                while !remaining.is_empty()
-                    && group.len() < max_size
-                    && estimator.estimate_group_bytes(group.len() + 1) <= budget.region_group_bytes.max(1)
-                {
-                    // candidate with maximum proximity to the group
-                    let (best_idx, _) = remaining
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &v)| {
-                            let adj = local.neighbors(v).unwrap_or(&[]);
-                            (i, proximity(adj, &neighborhood))
-                        })
-                        .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-                        .expect("remaining is non-empty");
-                    let v = remaining.swap_remove(best_idx);
-                    if let Some(adj) = local.neighbors(v) {
-                        neighborhood.extend(adj.iter().copied());
-                    }
-                    group.push(v);
-                }
-                groups.push(group);
-            }
+            let fits = |size: usize| {
+                size <= max_size
+                    && estimator.estimate_group_bytes(size) <= budget.region_group_bytes.max(1)
+            };
+            proximity_groups(local, &shuffled, fits)
         }
     }
-    groups.retain(|g| !g.is_empty());
+}
+
+/// Marks a slot that has left the waiting list.
+const GONE: u32 = u32::MAX;
+
+/// The proximity arm of [`find_region_groups`] over the already shuffled
+/// waiting list `order`, growing each group while `fits(size + 1)` holds.
+fn proximity_groups(
+    local: &LocalPartition,
+    order: &[VertexId],
+    fits: impl Fn(usize) -> bool,
+) -> Vec<Vec<VertexId>> {
+    let n = order.len();
+    // slot i is order[i]; its neighbours as dense ids in `nbrs[start[i]..start[i + 1]]`
+    let mut dense: HashMap<VertexId, u32> = HashMap::new();
+    let mut start = Vec::with_capacity(n + 1);
+    let mut nbrs: Vec<u32> = Vec::new();
+    start.push(0);
+    for &v in order {
+        for &x in local.neighbors(v).unwrap_or(&[]) {
+            let next = dense.len() as u32;
+            nbrs.push(*dense.entry(x).or_insert(next));
+        }
+        start.push(nbrs.len());
+    }
+    // reverse index, CSR over dense ids: the slots adjacent to each neighbour
+    let mut rev_start = vec![0usize; dense.len() + 1];
+    for &x in &nbrs {
+        rev_start[x as usize + 1] += 1;
+    }
+    for i in 1..rev_start.len() {
+        rev_start[i] += rev_start[i - 1];
+    }
+    let mut fill = rev_start.clone();
+    let mut rev = vec![0u32; nbrs.len()];
+    for slot in 0..n {
+        for &x in &nbrs[start[slot]..start[slot + 1]] {
+            rev[fill[x as usize]] = slot as u32;
+            fill[x as usize] += 1;
+        }
+    }
+
+    let degree = |slot: usize| start[slot + 1] - start[slot];
+    // equation 5 as `proximity` computes it, so ties compare exactly as in a rescan
+    let proximity_of = |shared: u32, slot: usize| shared as f64 / degree(slot) as f64;
+    let mut waiting: Vec<u32> = (0..n as u32).collect();
+    let mut position: Vec<u32> = (0..n as u32).collect();
+    let mut shared = vec![0u32; n];
+    let mut in_neighborhood = vec![false; dense.len()];
+    let mut touched_neighbors: Vec<u32> = Vec::new();
+    let mut touched_slots: Vec<u32> = Vec::new();
+    // (proximity bits, position, slot): a positive finite f64 orders as its bits
+    let mut heap: BinaryHeap<(u64, u32, u32)> = BinaryHeap::new();
+
+    let mut groups = Vec::new();
+    while let Some(first) = waiting.pop() {
+        let mut member = first as usize;
+        position[member] = GONE;
+        let mut group = vec![order[member]];
+        while !waiting.is_empty() && fits(group.len() + 1) {
+            // the last member's neighbours join the group's neighbourhood
+            for &x in &nbrs[start[member]..start[member + 1]] {
+                if std::mem::replace(&mut in_neighborhood[x as usize], true) {
+                    continue;
+                }
+                touched_neighbors.push(x);
+                for &s in &rev[rev_start[x as usize]..rev_start[x as usize + 1]] {
+                    let slot = s as usize;
+                    if position[slot] == GONE {
+                        continue;
+                    }
+                    if shared[slot] == 0 {
+                        touched_slots.push(s);
+                    }
+                    shared[slot] += 1;
+                    let key = proximity_of(shared[slot], slot).to_bits();
+                    heap.push((key, position[slot], s));
+                }
+            }
+            let best = loop {
+                match heap.peek() {
+                    Some(&(key, pos, s)) => {
+                        let slot = s as usize;
+                        if position[slot] == pos && proximity_of(shared[slot], slot).to_bits() == key
+                        {
+                            break pos as usize;
+                        }
+                        heap.pop();
+                    }
+                    None => break waiting.len() - 1,
+                }
+            };
+            member = waiting.swap_remove(best) as usize;
+            position[member] = GONE;
+            if let Some(&moved) = waiting.get(best) {
+                position[moved as usize] = best as u32;
+                if shared[moved as usize] > 0 {
+                    let key = proximity_of(shared[moved as usize], moved as usize).to_bits();
+                    heap.push((key, best as u32, moved));
+                }
+            }
+            group.push(order[member]);
+        }
+        groups.push(group);
+        heap.clear();
+        for x in touched_neighbors.drain(..) {
+            in_neighborhood[x as usize] = false;
+        }
+        for s in touched_slots.drain(..) {
+            shared[s as usize] = 0;
+        }
+    }
     groups
 }
 

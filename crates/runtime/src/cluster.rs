@@ -535,6 +535,11 @@ impl Cluster {
         let stats = Arc::new(NetworkStats::new(machines));
         let exchange = Arc::new(crate::exchange::RowExchange::new(machines));
         let barrier = Arc::new(Barrier::new(machines));
+        // Engine threads are spawned one after another; without this gate a
+        // machine could begin — and, on a small share, finish — its run
+        // before a peer's thread exists. Machines of a real cluster start a
+        // query together.
+        let start_gate = std::sync::Barrier::new(machines);
 
         let mut daemon_channels = Vec::with_capacity(machines);
         let mut senders = Vec::with_capacity(machines);
@@ -564,7 +569,7 @@ impl Cluster {
                     .expect("spawn daemon thread");
             }
 
-            // Engine threads.
+            // Engine threads, released together by the start gate.
             let mut handles = Vec::with_capacity(machines);
             for (m, daemon) in daemons.iter().enumerate() {
                 let transport: Arc<dyn Transport> = Arc::new(ChannelTransport::new(
@@ -585,10 +590,12 @@ impl Cluster {
                     retries: Arc::new(AtomicU64::new(0)),
                 };
                 let engine = &engine;
+                let start_gate = &start_gate;
                 let handle = std::thread::Builder::new()
                     .name(format!("rads-engine-m{m}"))
                     .spawn_scoped(scope, move || {
                         let ctx = ctx; // move into the thread
+                        start_gate.wait();
                         engine(&ctx)
                     })
                     .expect("spawn engine thread");
@@ -1115,7 +1122,7 @@ mod tests {
             }
             match envelope.body {
                 Request::CheckRegionGroups => Ok(Response::RegionGroupCount(7)),
-                Request::ShareRegionGroup => Ok(Response::RegionGroup(None)),
+                Request::ShareRegionGroup => Ok(Response::RegionGroups(Vec::new())),
                 other => panic!("flaky stub only serves checkR/shareR, got {other:?}"),
             }
         }

@@ -43,8 +43,9 @@ pub enum Request {
     FetchVertices(Vec<VertexId>),
     /// `checkR`: how many unprocessed region groups does the receiver have?
     CheckRegionGroups,
-    /// `shareR`: hand one unprocessed region group to the requester (and mark
-    /// it processed locally).
+    /// `shareR`: hand unprocessed region groups to the requester (and mark
+    /// them processed locally). RADS answers with half the waiting groups,
+    /// taken from the back of the queue.
     ShareRegionGroup,
     /// Deliver a batch of partial results (rows of data vertices) tagged with
     /// an algorithm-specific channel id. Used by PSgL / TwinTwig / SEED /
@@ -135,8 +136,8 @@ impl Envelope {
     /// `verifyE`, `fetchV` and `checkR` are pure reads over the receiver's
     /// partition (or its region-group queue length) — answering them twice
     /// is harmless, so the retry/backoff layer may re-send them freely.
-    /// `shareR` *pops* the receiver's queue (a duplicate would lose a
-    /// region group) and `DeliverRows` appends to the receiver's inbox (a
+    /// `shareR` *drains* part of the receiver's queue (a duplicate would
+    /// lose region groups) and `DeliverRows` appends to the receiver's inbox (a
     /// duplicate would double rows); neither may be blindly re-sent.
     /// `Query` starts an engine run on the receiver (a duplicate would run
     /// — and count — the query twice), so it is never retried either.
@@ -174,9 +175,10 @@ pub enum Response {
     Adjacency(Vec<(VertexId, Vec<VertexId>)>),
     /// Answer to [`Request::CheckRegionGroups`].
     RegionGroupCount(usize),
-    /// Answer to [`Request::ShareRegionGroup`]: a region group (candidate
-    /// vertices of the start query vertex), or `None` if none remain.
-    RegionGroup(Option<Vec<VertexId>>),
+    /// Answer to [`Request::ShareRegionGroup`]: the region groups handed
+    /// over (each a list of candidate vertices of the start query vertex);
+    /// empty if none remain.
+    RegionGroups(Vec<Vec<VertexId>>),
     /// Generic acknowledgement (used for [`Request::DeliverRows`] and
     /// [`Request::Query`] — the query *report* arrives later, as a result
     /// frame).
@@ -219,8 +221,8 @@ pub fn response_bytes(response: &Response) -> usize {
                 .map(|(_, adj)| VERTEX_BYTES + adj.len() * VERTEX_BYTES)
                 .sum(),
             Response::RegionGroupCount(_) => 8,
-            Response::RegionGroup(Some(vs)) => vs.len() * VERTEX_BYTES,
-            Response::RegionGroup(None) => 1,
+            Response::RegionGroups(groups) if groups.is_empty() => 1,
+            Response::RegionGroups(groups) => groups.iter().map(|g| g.len() * VERTEX_BYTES).sum(),
             Response::Ack | Response::Unsupported => 1,
             Response::QueryDone(payload) => payload.len(),
         }

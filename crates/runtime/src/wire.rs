@@ -77,9 +77,10 @@ pub const MAX_MESSAGE_BYTES: usize = 1024 * 1024 * 1024;
 
 /// Protocol revision spoken by this build. Revision 2 introduced the
 /// query-scoped envelope: a version byte and a query id in every frame
-/// header. Revision 1 (no version byte) is rejected with
+/// header. Revision 3 lets one `shareR` answer carry several region groups
+/// ([`Response::RegionGroups`]). Older revisions are rejected with
 /// [`WireError::Version`].
-pub const WIRE_VERSION: u8 = 2;
+pub const WIRE_VERSION: u8 = 3;
 
 /// High-nibble mark OR'd into the version byte so it can never collide with
 /// a v1 frame's kind byte (1–10), which occupied the same position.
@@ -411,7 +412,7 @@ const REQ_QUERY: u8 = 5;
 const RESP_EDGE_VERIFICATION: u8 = 0;
 const RESP_ADJACENCY: u8 = 1;
 const RESP_REGION_GROUP_COUNT: u8 = 2;
-const RESP_REGION_GROUP: u8 = 3;
+const RESP_REGION_GROUPS: u8 = 3;
 const RESP_ACK: u8 = 4;
 const RESP_UNSUPPORTED: u8 = 5;
 const RESP_QUERY_DONE: u8 = 6;
@@ -546,14 +547,11 @@ pub fn encode_response(response: &Response, buf: &mut Vec<u8>) {
             buf.push(RESP_REGION_GROUP_COUNT);
             put_u64(buf, *n as u64);
         }
-        Response::RegionGroup(group) => {
-            buf.push(RESP_REGION_GROUP);
-            match group {
-                Some(vs) => {
-                    buf.push(1);
-                    put_vertices(buf, vs);
-                }
-                None => buf.push(0),
+        Response::RegionGroups(groups) => {
+            buf.push(RESP_REGION_GROUPS);
+            put_u32(buf, groups.len() as u32);
+            for group in groups {
+                put_vertices(buf, group);
             }
         }
         Response::Ack => buf.push(RESP_ACK),
@@ -585,10 +583,14 @@ pub fn decode_response(buf: &[u8]) -> Result<Response, WireError> {
             Response::Adjacency(lists)
         }
         RESP_REGION_GROUP_COUNT => Response::RegionGroupCount(r.u64()? as usize),
-        RESP_REGION_GROUP => match r.u8()? {
-            0 => Response::RegionGroup(None),
-            _ => Response::RegionGroup(Some(r.vertices()?)),
-        },
+        RESP_REGION_GROUPS => {
+            let n = r.checked_len(4)?;
+            let mut groups = Vec::with_capacity(n);
+            for _ in 0..n {
+                groups.push(r.vertices()?);
+            }
+            Response::RegionGroups(groups)
+        }
         RESP_ACK => Response::Ack,
         RESP_UNSUPPORTED => Response::Unsupported,
         RESP_QUERY_DONE => {
@@ -892,9 +894,10 @@ mod tests {
         roundtrip_response(Response::Adjacency(vec![(9, vec![]), (2, vec![0, 5])]));
         roundtrip_response(Response::RegionGroupCount(0));
         roundtrip_response(Response::RegionGroupCount(usize::MAX));
-        roundtrip_response(Response::RegionGroup(None));
-        roundtrip_response(Response::RegionGroup(Some(vec![])));
-        roundtrip_response(Response::RegionGroup(Some(vec![8, 8, 8])));
+        roundtrip_response(Response::RegionGroups(vec![]));
+        roundtrip_response(Response::RegionGroups(vec![vec![]]));
+        roundtrip_response(Response::RegionGroups(vec![vec![8, 8, 8]]));
+        roundtrip_response(Response::RegionGroups(vec![vec![1, 2], vec![], vec![u32::MAX]]));
         roundtrip_response(Response::Ack);
         roundtrip_response(Response::Unsupported);
         roundtrip_response(Response::QueryDone(vec![]));

@@ -73,8 +73,13 @@ fn sample_responses(rng: &mut Rng) -> Response {
                 .collect(),
         ),
         2 => Response::RegionGroupCount(rng.below(1 << 20)),
-        3 => Response::RegionGroup(Some((0..rng.below(12)).map(|_| rng.next() as u32).collect())),
-        4 => Response::RegionGroup(None),
+        // none, one or many groups, inner groups possibly empty
+        3 => Response::RegionGroups(
+            (0..rng.below(5))
+                .map(|_| (0..rng.below(12)).map(|_| rng.next() as u32).collect())
+                .collect(),
+        ),
+        4 => Response::RegionGroups(Vec::new()),
         _ => Response::Ack,
     }
 }

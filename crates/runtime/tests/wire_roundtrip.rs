@@ -95,8 +95,7 @@ proptest! {
         verdicts in proptest::collection::vec(any::<bool>(), 0..64),
         adjacency in proptest::collection::vec((0u32..=u32::MAX, arb_vertices(9)), 0..12),
         count in 0u64..=u64::MAX,
-        group in arb_vertices(48),
-        some in any::<bool>(),
+        groups in proptest::collection::vec(arb_vertices(9), 0..8),
         correlation in 0u64..=u64::MAX,
         query in 0u64..=u64::MAX,
     ) {
@@ -104,7 +103,7 @@ proptest! {
             0 => Response::EdgeVerification(verdicts),
             1 => Response::Adjacency(adjacency),
             2 => Response::RegionGroupCount(count as usize),
-            3 => Response::RegionGroup(some.then_some(group)),
+            3 => Response::RegionGroups(groups),
             4 => Response::Ack,
             _ => Response::Unsupported,
         };

@@ -487,13 +487,16 @@ impl Daemon for ServeDaemon {
                     .get(&envelope.query.0)
                     .cloned();
                 match route {
-                    Some(daemon) => daemon.handle(from, envelope),
-                    // no route for this query id: an empty queue, not an
-                    // error — a stealing peer that races the job hand-off
-                    // (or probes a finished query) simply finds nothing
-                    None => match envelope.body {
+                    Some(daemon) if daemon.queue().is_published() => daemon.handle(from, envelope),
+                    // no route for this query id, or one still building its
+                    // groups: an empty queue, not an error — a stealing peer
+                    // that races the job hand-off (or probes a finished
+                    // query) simply finds nothing. Waiting for publication
+                    // here would block this connection's handler, and with
+                    // it every other query's requests from that peer.
+                    _ => match envelope.body {
                         Request::CheckRegionGroups => Response::RegionGroupCount(0),
-                        _ => Response::RegionGroup(None),
+                        _ => Response::RegionGroups(Vec::new()),
                     },
                 }
             }
@@ -1622,7 +1625,7 @@ mod tests {
         );
         assert_eq!(
             daemon.handle(1, Envelope::solo(Request::ShareRegionGroup)),
-            Response::RegionGroup(None)
+            Response::RegionGroups(vec![])
         );
         // no job queue: a stray Query RPC is unsupported, not silently lost
         let q = Request::Query { id: 1, pattern: "q1".to_string(), budget: None };
@@ -1634,31 +1637,39 @@ mod tests {
         let partitioned = small_partitioned();
         let daemon = ServeDaemon::new(partitioned.clone(), 0, None);
         let queue_a = new_group_queue();
-        queue_a.lock().push_back(vec![1, 2, 3]);
+        queue_a.publish([vec![1, 2, 3], vec![4], vec![5], vec![6, 9], vec![10]]);
         let queue_b = new_group_queue();
-        queue_b.lock().push_back(vec![7]);
-        queue_b.lock().push_back(vec![8]);
-        daemon.install(QueryId(5), Arc::new(RadsDaemon::new(partitioned.clone(), 0, queue_a)));
+        queue_b.publish([vec![7], vec![8]]);
+        daemon.install(QueryId(5), Arc::new(RadsDaemon::new(partitioned.clone(), 0, queue_a.clone())));
         daemon.install(QueryId(6), Arc::new(RadsDaemon::new(partitioned, 0, queue_b)));
         assert_eq!(daemon.active_queries(), 2);
         let check = |q: u64| {
             daemon.handle(1, Envelope::new(QueryId(q), 0, Request::CheckRegionGroups))
         };
         // each query sees its own queue; an unknown id sees an empty one
-        assert_eq!(check(5), Response::RegionGroupCount(1));
+        assert_eq!(check(5), Response::RegionGroupCount(5));
         assert_eq!(check(6), Response::RegionGroupCount(2));
         assert_eq!(check(99), Response::RegionGroupCount(0));
+        // steal half, rounded up, from the back of query 5's queue
         assert_eq!(
             daemon.handle(1, Envelope::new(QueryId(5), 1, Request::ShareRegionGroup)),
-            Response::RegionGroup(Some(vec![1, 2, 3]))
+            Response::RegionGroups(vec![vec![5], vec![6, 9], vec![10]])
         );
+        assert_eq!(*queue_a.lock(), [vec![1, 2, 3], vec![4]]);
         // sharing from query 5 did not touch query 6's queue
-        assert_eq!(check(5), Response::RegionGroupCount(0));
+        assert_eq!(check(5), Response::RegionGroupCount(2));
         assert_eq!(check(6), Response::RegionGroupCount(2));
         assert_eq!(
             daemon.handle(1, Envelope::new(QueryId(99), 0, Request::ShareRegionGroup)),
-            Response::RegionGroup(None)
+            Response::RegionGroups(vec![])
         );
+        // a query still building its groups reads as empty, at once: the
+        // router never parks a connection handler on one query's grouping
+        let queue_c = new_group_queue();
+        queue_c.lock().push_back(vec![11]);
+        daemon.install(QueryId(7), Arc::new(RadsDaemon::new(small_partitioned(), 0, queue_c)));
+        assert_eq!(check(7), Response::RegionGroupCount(0));
+        daemon.clear(QueryId(7));
         daemon.clear(QueryId(5));
         assert_eq!(check(5), Response::RegionGroupCount(0));
         assert_eq!(check(6), Response::RegionGroupCount(2));
