@@ -166,7 +166,7 @@ const STANDARD_QUERIES: [&str; 8] = ["q1", "q2", "q3", "q4", "q5", "q6", "q7", "
 const PLAN_QUERIES: [&str; 5] = ["q4", "q5", "q6", "q7", "q8"];
 
 /// `Φ` of the governor robustness experiment: small enough that the hub-pod
-/// aggregate (≈ 1 MiB unguarded) overflows it by ≥ 10x, large enough that a
+/// aggregate (≈ 0.8 MiB unguarded) overflows it by ≥ 10x, large enough that a
 /// single pod candidate's subtree (≈ 7 KiB) stays within the governor's
 /// `Φ/2` single-unit contract with ample margin.
 const GOVERNOR_BUDGET: usize = 64 * 1024;

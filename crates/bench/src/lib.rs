@@ -1271,9 +1271,12 @@ pub fn hub_trap_workload(scale: Scale, seed: u64) -> (Graph, rads_partition::Par
     use rads_graph::GraphBuilder;
     const POD: usize = 12;
     // Ring size scales; the pod count keeps a floor so the aggregate
-    // explosion factor survives smoke-mode scales.
+    // explosion factor survives smoke-mode scales. Only the pod embeddings
+    // with a sibling edge between two foreign pod-mates are materialised
+    // (the rest complete depth-first), about 30 % of them, hence a floor
+    // three times what an engine materialising every pod embedding needs.
     let ring = (((1600.0 * scale.0).round() as usize).max(160) / 2) * 2;
-    let pods = (ring / 16).max(24);
+    let pods = (ring / 16).max(72);
     let n = ring + pods * POD;
     let mut b = GraphBuilder::new(n);
     for i in 0..ring as u32 {
@@ -1360,7 +1363,7 @@ pub fn governor_robustness(
                     peak >= 10 * budget_bytes as u64,
                     "the workload must defeat the static estimate by ≥ 10x, got peak {peak} B vs \
                      Φ = {budget_bytes} B — if Φ was overridden (--budget), it must stay at most \
-                     1/10th of the workload's unguarded peak (≈ 1 MiB at smoke scales)"
+                     1/10th of the workload's unguarded peak (≈ 0.8 MiB at smoke scales)"
                 );
             }
             records.push(BenchRecord {

@@ -18,8 +18,10 @@
 //! maxing peaks and sorting collected embeddings, all order-insensitive
 //! reductions, so every result surfaced by [`run_machine`] is independent of
 //! the worker count and of scheduling. Only the communication-volume
-//! counters (cache hits/misses, `fetchV`/`verifyE` request counts) may vary
-//! with `workers > 1`, because which worker's cache already holds a foreign
+//! counters (cache hits/misses, `fetchV`/`verifyE` request counts) and the
+//! statistics of what was materialised (see
+//! [below](self#depth-first-as-far-as-adjacency-is-known)) may vary with
+//! `workers > 1`, because which worker's cache already holds a foreign
 //! vertex depends on which worker processed the earlier group.
 //!
 //! # Foreign adjacency outlives the run
@@ -35,6 +37,41 @@
 //! the same either way; see the [`crate::store`] docs for why that is sound.
 //! The cache counters in [`EngineStats`] are per run regardless: deltas
 //! between check-out and check-in.
+//!
+//! # Depth-first as far as adjacency is known
+//!
+//! Algorithm 4 materialises every round breadth-first into the embedding
+//! trie and the EVI, because some edge *might* be undetermined. Here each
+//! parent goes depth-first across the units for as long as the adjacency it
+//! needs is known on the machine — owned, in the checked-out cache or in the
+//! round's scratch cache — and only the unknown frontier waits for the
+//! batched rounds (a deliberate deviation from the paper):
+//!
+//! * A parent of a round (a start candidate in round 0, a trie node later)
+//!   is expanded in full. An extension with an undetermined edge goes into
+//!   the trie and the EVI as in the paper; any other extension is an
+//!   embedding of the sub-pattern already and descends into the next
+//!   round, where one [`Expander`] per round expands it *strictly*
+//!   ([`Expander::expand_strict`]: it gives up at the first undetermined
+//!   edge). At the last unit the extensions are counted, or collected.
+//! * An embedding of `P_{r-1}` whose round-`r` pivot is unknown, or whose
+//!   strict expansion gave up, is *deposited*: it waits in a per-round list
+//!   and joins the trie, under its start candidate's one root, when round
+//!   `r` starts, so that round's batched `fetchV` and `verifyE` cover it
+//!   with the breadth-first parents. Nothing is enumerated twice. (Rolling
+//!   a candidate back to breadth-first on its first unknown edge instead
+//!   made every cold candidate pay twice.)
+//! * The governor charges the deposits with the trie. A candidate shed in a
+//!   later round takes back its depth-first count, its deposits for later
+//!   rounds and its collected embeddings before it restarts from round 0.
+//!
+//! A warm resident machine therefore enumerates like a single-machine
+//! backtracker, with an empty trie. The Tables 3–4 accounting
+//! (`trie_nodes_created`, `embedding_*_bytes`) counts only what was
+//! materialised; [`EngineStats::depth_first_embeddings`] counts the rest.
+//! Which parent goes which way depends on the cache contents, so — like the
+//! undetermined edges before them — these statistics vary with the
+//! schedule wherever the cache contents do.
 //!
 //! # Round drivers: scatter / harvest
 //!
@@ -77,7 +114,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 
 use parking_lot::Mutex;
 use rads_exec::{scoped_workers, ExecConfig, InflightWindow};
-use rads_graph::{Pattern, SymmetryBreaking, VertexId};
+use rads_graph::{Pattern, PatternVertex, SymmetryBreaking, VertexId};
 use rads_graph::types::EdgeKey;
 use rads_partition::LocalPartition;
 use rads_plan::ExecutionPlan;
@@ -222,6 +259,14 @@ pub struct EngineStats {
     pub sme_embeddings: u64,
     /// Embeddings found by the distributed R-Meef phase.
     pub distributed_embeddings: u64,
+    /// The part of `distributed_embeddings` completed depth-first, without
+    /// a trie node or a `verifyE` (see the
+    /// [module docs](self#depth-first-as-far-as-adjacency-is-known)).
+    pub depth_first_embeddings: u64,
+    /// Sub-pattern embeddings the depth-first descent deposited for a later
+    /// batched round, because that round's pivot adjacency was unknown or
+    /// its unit met an undetermined edge.
+    pub depth_first_deposits: u64,
     /// Start candidates handled by SM-E.
     pub sme_candidates: usize,
     /// Start candidates handled by R-Meef (own groups).
@@ -238,10 +283,12 @@ pub struct EngineStats {
     pub groups_stolen: usize,
     /// Peak number of live trie nodes over all region groups.
     pub peak_trie_nodes: usize,
-    /// Total trie nodes ever created (space accounting of Tables 3–4).
+    /// Total trie nodes ever created (space accounting of Tables 3–4). Only
+    /// what was materialised counts: embeddings completed depth-first never
+    /// enter the trie.
     pub trie_nodes_created: u64,
-    /// Bytes an uncompressed embedding list of the same intermediate results
-    /// would have required.
+    /// Bytes an uncompressed embedding list of the intermediate results in
+    /// the trie would have required.
     pub embedding_list_bytes: u64,
     /// Bytes the embedding trie required for the same results.
     pub embedding_trie_bytes: u64,
@@ -261,9 +308,9 @@ pub struct EngineStats {
     /// (resident, like `cache_entries`; each cache has its own
     /// [`MemoryBudget::cache_bytes`] allowance).
     pub cache_peak_bytes: u64,
-    /// Highest bytes of intermediate results (trie + expansion buffers) seen
-    /// at any governor checkpoint on any worker — the runtime counterpart of
-    /// `Φ`.
+    /// Highest bytes of intermediate results (trie, deposits waiting for a
+    /// later round, expansion buffers) seen at any governor checkpoint on any
+    /// worker — the runtime counterpart of `Φ`.
     pub peak_tracked_bytes: u64,
     /// Region groups the governor split mid-flight.
     pub governor_splits: u64,
@@ -331,6 +378,8 @@ impl MachineOutput {
         let w = worker.stats;
         s.sme_embeddings += w.sme_embeddings;
         s.distributed_embeddings += w.distributed_embeddings;
+        s.depth_first_embeddings += w.depth_first_embeddings;
+        s.depth_first_deposits += w.depth_first_deposits;
         s.sme_candidates += w.sme_candidates;
         s.distributed_candidates += w.distributed_candidates;
         s.groups_created += w.groups_created;
@@ -369,10 +418,14 @@ impl MachineOutput {
 /// oversized) between fetch and use. The transient keeps expansion correct
 /// under arbitrary cache pressure — a pivot whose adjacency is invisible
 /// would silently drop every embedding extending through it.
+///
+/// The caches are borrowed mutably so that the depth-first descent's pivot
+/// lookups ([`knows_pivot`](Self::knows_pivot)) are recorded; the oracle
+/// reads themselves never are.
 struct MachineOracle<'a> {
     local: &'a LocalPartition,
-    cache: &'a ForeignVertexCache,
-    scratch: &'a ForeignVertexCache,
+    cache: &'a mut ForeignVertexCache,
+    scratch: &'a mut ForeignVertexCache,
     transient: Option<&'a (VertexId, Vec<VertexId>)>,
 }
 
@@ -387,6 +440,18 @@ impl AdjacencyOracle for MachineOracle<'_> {
             .or_else(|| self.cache.peek(v))
             .or_else(|| self.scratch.peek(v))
             .or(transient)
+    }
+}
+
+impl MachineOracle<'_> {
+    /// Whether the adjacency of `pivot` is known. A lookup of a foreign
+    /// pivot counts as a cache hit or miss and refreshes its LRU recency,
+    /// exactly as [`ensure_pivot_adjacency`] does for the batched rounds.
+    fn knows_pivot(&mut self, pivot: VertexId) -> bool {
+        self.local.owns(pivot)
+            || self.transient.is_some_and(|(v, _)| *v == pivot)
+            || self.cache.get(pivot).is_some()
+            || self.scratch.get(pivot).is_some()
     }
 }
 
@@ -607,11 +672,13 @@ fn drain_region_groups(
     let mut cache =
         if config.enable_cache { store.check_out() } else { ForeignVertexCache::disabled() };
     let stats_at_check_out = cache.stats();
-    // One expander per pool worker: its candidate buffers, backtracking
-    // stacks and flat extension output are reused across every parent
-    // embedding, round and region group this worker processes. Likewise one
-    // governor: its observations and re-fitted estimator carry across groups.
-    let mut expander = Expander::new();
+    // One expander per round per pool worker: its candidate buffers,
+    // backtracking stacks and flat extension output are reused across every
+    // parent embedding and region group this worker processes, and the
+    // depth-first descent holds one round's output while the next round
+    // expands. Likewise one governor: its observations and re-fitted
+    // estimator carry across groups.
+    let mut expanders: Vec<Expander> = (0..plan.rounds()).map(|_| Expander::new()).collect();
     let mut governor = MemoryGovernor::new(config.budget, config.enforce_budget, estimator);
     let _drain_span = rads_obs::span("drain", "engine");
 
@@ -637,7 +704,7 @@ fn drain_region_groups(
             prefetch.scatter(ctx, ctx.partition(), &next, &mut cache, &mut output.stats);
         }
         process_region_group(
-            ctx, pattern, plan, symmetry, &group, &mut cache, &mut expander, &mut governor,
+            ctx, pattern, plan, symmetry, &group, &mut cache, &mut expanders, &mut governor,
             group_queue, config, &mut output,
         );
         output.stats.groups_processed += 1;
@@ -686,7 +753,7 @@ fn drain_region_groups(
                     let first = groups.next().expect("non-empty");
                     group_queue.lock().extend(groups);
                     process_region_group(
-                        ctx, pattern, plan, symmetry, &first, &mut cache, &mut expander,
+                        ctx, pattern, plan, symmetry, &first, &mut cache, &mut expanders,
                         &mut governor, group_queue, config, &mut output,
                     );
                     output.stats.groups_processed += 1;
@@ -695,7 +762,7 @@ fn drain_region_groups(
                         let local_group = group_queue.lock().pop_front();
                         let Some(local_group) = local_group else { break };
                         process_region_group(
-                            ctx, pattern, plan, symmetry, &local_group, &mut cache, &mut expander,
+                            ctx, pattern, plan, symmetry, &local_group, &mut cache, &mut expanders,
                             &mut governor, group_queue, config, &mut output,
                         );
                         output.stats.groups_processed += 1;
@@ -717,7 +784,9 @@ fn drain_region_groups(
     if config.enable_cache {
         store.check_in(cache);
     }
-    output.stats.intersect = expander.intersect_stats().clone();
+    for expander in &expanders {
+        output.stats.intersect.absorb(expander.intersect_stats());
+    }
     output.stats.peak_tracked_bytes = governor.stats.peak_tracked_bytes;
     output.stats.governor_splits = governor.stats.splits;
     output.stats.respilled_candidates = governor.stats.respilled_candidates;
@@ -726,19 +795,23 @@ fn drain_region_groups(
 }
 
 /// Processes one region group: the multi-round expand / verify & filter loop
-/// of Algorithm 4, under runtime budget enforcement.
+/// of Algorithm 4, depth-first wherever the adjacency is known (see the
+/// [module docs](self#depth-first-as-far-as-adjacency-is-known)), under
+/// runtime budget enforcement.
 ///
-/// The governor checkpoints the tracked bytes (trie + expansion buffers)
-/// after every start candidate in round 0 and after every root subtree in
-/// later rounds. When admitting the next unit of work could cross `Φ`, the
-/// not-yet-expanded start candidates are shed: their partial subtrees are
-/// removed from the trie, and the candidates are re-grouped under the
-/// re-fitted estimator and pushed back on `group_queue`. Shed candidates
-/// restart from round 0 in their new group, so every embedding is still
-/// found exactly once — region groups partition the start candidates, and
-/// the shed candidates' partial results are discarded before harvest. The
-/// first in-flight candidate of a group is never shed, so re-queued groups
-/// shrink strictly and the split recursion terminates.
+/// The governor checkpoints the tracked bytes (trie + deposits + expansion
+/// buffers) after every start candidate in round 0 and after every root
+/// subtree in later rounds. When admitting the next unit of work could cross
+/// `Φ`, the not-yet-expanded start candidates are shed: their partial
+/// subtrees are removed from the trie, their deposits for later rounds,
+/// depth-first counts and collected embeddings are dropped, and the
+/// candidates are re-grouped under the re-fitted estimator and pushed back
+/// on `group_queue`. Shed candidates restart from round 0 in their new
+/// group, so every embedding is still found exactly once — region groups
+/// partition the start candidates, and the shed candidates' partial results
+/// are discarded before harvest. The first in-flight candidate of a group is
+/// never shed, so re-queued groups shrink strictly and the split recursion
+/// terminates.
 #[allow(clippy::too_many_arguments)]
 fn process_region_group(
     ctx: &MachineContext,
@@ -747,7 +820,7 @@ fn process_region_group(
     symmetry: &SymmetryBreaking,
     group: &[VertexId],
     cache: &mut ForeignVertexCache,
-    expander: &mut Expander,
+    expanders: &mut [Expander],
     governor: &mut MemoryGovernor,
     group_queue: &GroupQueue,
     config: &EngineConfig,
@@ -759,11 +832,16 @@ fn process_region_group(
     let mut trie = EmbeddingTrie::new();
     let mut evi = EdgeVerificationIndex::new();
     let mut scratch_cache = ForeignVertexCache::with_capacity(config.budget.cache_bytes);
+    let descent = Descent::new(pattern, plan, symmetry, config.collect_embeddings);
+    let mut frontier = Frontier::new(plan);
     // Start candidates still in flight; shrinks when the governor sheds.
     let mut retained = group.len();
     let mut group_span = rads_obs::span("region_group", "engine");
     group_span.attr("candidates", group.len() as u64);
-    let scanned_before = expander.intersect_stats().elements_scanned;
+    let scanned = |expanders: &[Expander]| -> u64 {
+        expanders.iter().map(|e| e.intersect_stats().elements_scanned).sum()
+    };
+    let scanned_before = scanned(expanders);
 
     for round in 0..plan.rounds() {
         let mut round_span = rads_obs::span("round", "engine");
@@ -772,9 +850,12 @@ fn process_region_group(
         if !config.enable_cache {
             scratch_cache.clear();
         }
-        let expansion = UnitExpansion::new(pattern, plan, symmetry, round);
         let prefix_before = if round == 0 { 0 } else { plan.sub_pattern_vertices(round - 1).len() };
         let prefix_after = plan.sub_pattern_vertices(round).len();
+        // The deposits of this round join the trie only now: planted any
+        // earlier, their interior nodes would be taken for parents of the
+        // rounds in between.
+        frontier.plant(round, &mut trie);
 
         // -- fetchV: gather the foreign pivot vertices this round expands from
         let parents: Vec<NodeId> = if round == 0 {
@@ -816,36 +897,33 @@ fn process_region_group(
         if round == 0 {
             let start = plan.start_vertex();
             for (i, &v0) in group.iter().enumerate() {
-                let tracked = trie.memory_bytes() + expander.memory_bytes();
+                let tracked = tracked_bytes(&trie, &frontier, expanders);
                 if i > 0 && governor.should_spill_candidate(tracked) {
                     retained = i;
                     // re-fit from the candidates expanded so far, so the shed
                     // remainder is re-grouped at the observed cost, not the
                     // defeated prior (otherwise the spill would recurse one
                     // candidate at a time)
-                    governor.refit(trie.node_count(), i);
+                    governor.refit(frontier.live_nodes(&trie), i);
                     spill_candidates(governor, local, &group[i..], config, group_queue, round);
                     break;
                 }
-                let before = trie.memory_bytes();
+                let before = trie.memory_bytes() + frontier.memory_bytes();
                 let transient = ensure_pivot_adjacency(
                     ctx, local, v0, cache, &mut scratch_cache, &mut output.stats,
                 );
-                let oracle = MachineOracle {
+                let mut oracle = MachineOracle {
                     local,
                     cache,
-                    scratch: &scratch_cache,
+                    scratch: &mut scratch_cache,
                     transient: transient.as_ref(),
                 };
-                f.iter_mut().for_each(|x| *x = None);
+                f.fill(None);
                 f[start] = Some(v0);
-                let extensions = expander.expand(&expansion, &mut f, &oracle);
-                if extensions.is_empty() {
-                    continue;
-                }
-                let root = trie.add_root(v0);
-                insert_extensions(&mut trie, root, extensions, &mut evi);
-                let tracked = trie.memory_bytes() + expander.memory_bytes();
+                descent.expand_parent(
+                    &mut frontier, round, None, &mut f, &mut trie, &mut evi, expanders, &mut oracle,
+                );
+                let tracked = tracked_bytes(&trie, &frontier, expanders);
                 governor.observe_candidate_delta(tracked.saturating_sub(before));
                 governor.track(tracked);
             }
@@ -865,7 +943,7 @@ fn process_region_group(
                     .iter()
                     .position(|&(r, _)| r != root)
                     .map_or(clustered.len(), |o| idx + o);
-                let tracked = trie.memory_bytes() + expander.memory_bytes();
+                let tracked = tracked_bytes(&trie, &frontier, expanders);
                 if expanded_roots > 0 && governor.should_spill_root(tracked) {
                     // shed this and every remaining root in one pass
                     let mut shed_roots: HashSet<NodeId> = HashSet::new();
@@ -877,38 +955,36 @@ fn process_region_group(
                     }
                     // re-fit from the in-flight candidates before re-grouping
                     // the shed ones (see the round-0 spill above)
-                    governor.refit(trie.node_count(), retained);
+                    governor.refit(frontier.live_nodes(&trie), retained);
                     retained -= shed_candidates.len();
                     trie.remove_subtrees(&shed_roots);
+                    frontier.shed(&shed_candidates, round);
                     spill_candidates(governor, local, &shed_candidates, config, group_queue, round);
                     break;
                 }
-                let before = trie.memory_bytes();
+                let before = trie.memory_bytes() + frontier.memory_bytes();
                 for &(_, parent) in &clustered[idx..end] {
                     let result = trie.result(parent);
                     let transient = ensure_pivot_adjacency(
                         ctx, local, result[pivot_pos], cache, &mut scratch_cache,
                         &mut output.stats,
                     );
-                    let oracle = MachineOracle {
+                    let mut oracle = MachineOracle {
                         local,
                         cache,
-                        scratch: &scratch_cache,
+                        scratch: &mut scratch_cache,
                         transient: transient.as_ref(),
                     };
-                    f.iter_mut().for_each(|x| *x = None);
+                    f.fill(None);
                     for (pos, &v) in result.iter().enumerate() {
                         f[order[pos]] = Some(v);
                     }
-                    let extensions = expander.expand(&expansion, &mut f, &oracle);
-                    if extensions.is_empty() {
-                        // the embedding of P_{i-1} cannot be extended: drop it
-                        trie.remove(parent);
-                        continue;
-                    }
-                    insert_extensions(&mut trie, parent, extensions, &mut evi);
+                    descent.expand_parent(
+                        &mut frontier, round, Some(parent), &mut f, &mut trie, &mut evi,
+                        expanders, &mut oracle,
+                    );
                 }
-                let tracked = trie.memory_bytes() + expander.memory_bytes();
+                let tracked = tracked_bytes(&trie, &frontier, expanders);
                 governor.observe_root_delta(tracked.saturating_sub(before));
                 governor.track(tracked);
                 expanded_roots += 1;
@@ -928,7 +1004,8 @@ fn process_region_group(
         drop(verify_span);
 
         // -- intermediate-result accounting (Tables 3–4): what an uncompressed
-        //    embedding list of this round's results would cost vs the trie.
+        //    embedding list of this round's results in the trie would cost vs
+        //    the trie.
         let results_this_round = trie.count_at_depth(prefix_after - 1) as u64;
         output.stats.embedding_list_bytes +=
             results_this_round * prefix_after as u64 * std::mem::size_of::<VertexId>() as u64;
@@ -936,7 +1013,7 @@ fn process_region_group(
             trie.node_count() as u64 * EmbeddingTrie::NODE_BYTES as u64;
         output.stats.peak_trie_nodes = output.stats.peak_trie_nodes.max(trie.peak_node_count());
         if rads_obs::metrics_enabled() {
-            let live = (trie.memory_bytes() + expander.memory_bytes()) as u64;
+            let live = tracked_bytes(&trie, &frontier, expanders) as u64;
             crate::obs::live_bytes_histogram().observe(live);
             crate::obs::live_bytes_watermark().observe_max(live);
         }
@@ -945,8 +1022,12 @@ fn process_region_group(
     // -- harvest the final embeddings of this region group
     let full_depth = n - 1;
     let final_leaves = trie.nodes_at_depth(full_depth);
-    output.stats.distributed_embeddings += final_leaves.len() as u64;
-    output.count += final_leaves.len() as u64;
+    let depth_first = frontier.depth_first_embeddings();
+    let found = final_leaves.len() as u64 + depth_first;
+    output.stats.depth_first_embeddings += depth_first;
+    output.stats.depth_first_deposits += frontier.deposited;
+    output.stats.distributed_embeddings += found;
+    output.count += found;
     if config.collect_embeddings {
         for leaf in &final_leaves {
             let result = trie.result(*leaf);
@@ -956,21 +1037,292 @@ fn process_region_group(
             }
             output.embeddings.push(embedding);
         }
+        output.embeddings.append(&mut frontier.collected);
     }
     output.stats.trie_nodes_created += trie.total_created();
     if rads_obs::metrics_enabled() {
         // Intersect selectivity of this group: trie nodes produced per 100
         // elements the kernels scanned while generating its candidates.
-        let scanned = expander.intersect_stats().elements_scanned - scanned_before;
+        let scanned = scanned(expanders) - scanned_before;
         if let Some(pct) = (trie.total_created() * 100).checked_div(scanned) {
             crate::obs::selectivity_histogram().observe(pct.min(100));
         }
     }
     group_span.attr("retained", retained as u64);
-    group_span.attr("embeddings", final_leaves.len() as u64);
+    group_span.attr("embeddings", found);
+    group_span.attr("depth_first", depth_first);
     drop(group_span);
     // -- online re-fit: what this group's retained candidates actually cost
     governor.refit(trie.peak_node_count(), retained);
+}
+
+/// Bytes of intermediate results the governor charges against `Φ`: the
+/// trie, the deposits waiting for a later round, and every round's
+/// expansion output.
+fn tracked_bytes(trie: &EmbeddingTrie, frontier: &Frontier<'_>, expanders: &[Expander]) -> usize {
+    trie.memory_bytes()
+        + frontier.memory_bytes()
+        + expanders.iter().map(Expander::memory_bytes).sum::<usize>()
+}
+
+/// The units of a plan chained depth-first: one expansion context per round.
+struct Descent<'a> {
+    units: Vec<UnitExpansion<'a>>,
+    start: PatternVertex,
+    collect: bool,
+}
+
+impl<'a> Descent<'a> {
+    fn new(
+        pattern: &'a Pattern,
+        plan: &ExecutionPlan,
+        symmetry: &'a SymmetryBreaking,
+        collect: bool,
+    ) -> Self {
+        Descent {
+            units: (0..plan.rounds())
+                .map(|round| UnitExpansion::new(pattern, plan, symmetry, round))
+                .collect(),
+            start: plan.start_vertex(),
+            collect,
+        }
+    }
+
+    /// Expands one parent of `round` in full: a start candidate in round 0
+    /// (`parent` is `None`), a trie node later. An extension with an
+    /// undetermined edge goes into the trie under the parent and its edges
+    /// into the EVI, for this round's `verifyE` to decide; every other
+    /// extension is an embedding of `P_round` already and goes on
+    /// depth-first. A trie parent left without children is removed.
+    #[allow(clippy::too_many_arguments)]
+    fn expand_parent(
+        &self,
+        frontier: &mut Frontier<'_>,
+        round: usize,
+        parent: Option<NodeId>,
+        f: &mut [Option<VertexId>],
+        trie: &mut EmbeddingTrie,
+        evi: &mut EdgeVerificationIndex,
+        expanders: &mut [Expander],
+        oracle: &mut MachineOracle<'_>,
+    ) {
+        let (head, deeper) = expanders.split_at_mut(round + 1);
+        let extensions = head[round].expand(&self.units[round], f, &*oracle);
+        let mut found = 0;
+        let mut waiting = false;
+        for i in 0..extensions.len() {
+            if extensions.undetermined(i).is_empty() {
+                found += self.follow(frontier, round, extensions.leaves(i), f, deeper, oracle);
+            } else {
+                waiting = true;
+            }
+        }
+        let candidate = f[self.start].expect("the start vertex is matched");
+        if found > 0 {
+            *frontier.found.entry(candidate).or_default() += found;
+        }
+        if waiting {
+            let parent = parent.unwrap_or_else(|| frontier.root(candidate, trie));
+            insert_extensions(trie, parent, extensions, evi);
+        } else if let Some(parent) = parent {
+            trie.remove(parent);
+        }
+    }
+
+    /// Goes on from one extension, free of undetermined edges, of the
+    /// embedding of `P_{round-1}` in `f`: counts it at the last unit, and
+    /// descends into the next round otherwise. `deeper` holds the expanders
+    /// of the rounds after `round`. Returns the embeddings completed.
+    fn follow(
+        &self,
+        frontier: &mut Frontier<'_>,
+        round: usize,
+        leaves: &[VertexId],
+        f: &mut [Option<VertexId>],
+        deeper: &mut [Expander],
+        oracle: &mut MachineOracle<'_>,
+    ) -> u64 {
+        let unit_leaves = self.units[round].leaves();
+        for (&u, &v) in unit_leaves.iter().zip(leaves) {
+            f[u] = Some(v);
+        }
+        let found = if round + 1 == self.units.len() {
+            if self.collect {
+                let embedding = f.iter().map(|v| v.expect("a complete embedding")).collect();
+                frontier.collected.push(embedding);
+            }
+            1
+        } else {
+            self.descend(frontier, round + 1, f, deeper, oracle)
+        };
+        for &u in unit_leaves {
+            f[u] = None;
+        }
+        found
+    }
+
+    /// Expands the embedding of `P_{round-1}` in `f` depth-first, with
+    /// `expanders` holding those of `round` and later. With the pivot's
+    /// adjacency known and no undetermined edge in the unit, every extension
+    /// goes on; otherwise the embedding is deposited for `round`'s batched
+    /// `fetchV` and `verifyE`. Returns the embeddings completed.
+    fn descend(
+        &self,
+        frontier: &mut Frontier<'_>,
+        round: usize,
+        f: &mut [Option<VertexId>],
+        expanders: &mut [Expander],
+        oracle: &mut MachineOracle<'_>,
+    ) -> u64 {
+        let unit = &self.units[round];
+        let pivot = f[unit.pivot()].expect("the pivot is matched by the parent embedding");
+        let (expander, deeper) = expanders.split_first_mut().expect("one expander per round");
+        let extensions = if oracle.knows_pivot(pivot) {
+            expander.expand_strict(unit, f, &*oracle)
+        } else {
+            None
+        };
+        let Some(extensions) = extensions else {
+            frontier.deposit(round, f);
+            return 0;
+        };
+        if round + 1 == self.units.len() && !self.collect {
+            return extensions.len() as u64;
+        }
+        (0..extensions.len())
+            .map(|i| self.follow(frontier, round, extensions.leaves(i), f, deeper, oracle))
+            .sum()
+    }
+}
+
+/// What the depth-first descent leaves behind in one region group: the
+/// embeddings deposited for a later round's batch, and — per start
+/// candidate, so that a shed candidate can take it back — what it completed.
+struct Frontier<'a> {
+    order: &'a [PatternVertex],
+    /// `widths[r]`: vertices of `P_{r-1}` (0 for round 0).
+    widths: Vec<usize>,
+    /// `deposits[r]`: embeddings of `P_{r-1}` waiting for round `r`, flat,
+    /// `widths[r]` data vertices each in matching order — the start
+    /// candidate first.
+    deposits: Vec<Vec<VertexId>>,
+    /// Embeddings completed depth-first, per start candidate.
+    found: HashMap<VertexId, u64>,
+    /// The completed embeddings themselves, when collected.
+    collected: Vec<Vec<VertexId>>,
+    /// The trie root of each start candidate that has been given one.
+    roots: HashMap<VertexId, NodeId>,
+    /// Deposits ever made, shed ones included.
+    deposited: u64,
+}
+
+impl<'a> Frontier<'a> {
+    fn new(plan: &'a ExecutionPlan) -> Self {
+        let widths = (0..plan.rounds())
+            .map(|round| if round == 0 { 0 } else { plan.sub_pattern_vertices(round - 1).len() })
+            .collect();
+        Frontier {
+            order: plan.matching_order(),
+            widths,
+            deposits: vec![Vec::new(); plan.rounds()],
+            found: HashMap::new(),
+            collected: Vec::new(),
+            roots: HashMap::new(),
+            deposited: 0,
+        }
+    }
+
+    /// Deposits the embedding of `P_{round-1}` in `f` for `round`.
+    fn deposit(&mut self, round: usize, f: &[Option<VertexId>]) {
+        self.deposited += 1;
+        let prefix = &self.order[..self.widths[round]];
+        self.deposits[round]
+            .extend(prefix.iter().map(|&u| f[u].expect("a deposit is a whole embedding")));
+    }
+
+    /// Moves the deposits for `round` into the trie, under their start
+    /// candidate's root. A descent deposits in backtracking order, so
+    /// neighbouring deposits share prefixes, which share nodes as in
+    /// [`insert_extensions`].
+    fn plant(&mut self, round: usize, trie: &mut EmbeddingTrie) {
+        let deposits = std::mem::take(&mut self.deposits[round]);
+        if deposits.is_empty() {
+            return;
+        }
+        let width = self.widths[round];
+        let mut path: Vec<NodeId> = Vec::with_capacity(width);
+        let mut previous: &[VertexId] = &[];
+        for deposit in deposits.chunks_exact(width) {
+            // the last vertex always gets a node of its own: no two deposits
+            // are the same embedding
+            let common = previous
+                .iter()
+                .zip(deposit)
+                .take(width - 1)
+                .take_while(|(a, b)| a == b)
+                .count();
+            if common == 0 {
+                path.clear();
+                path.push(self.root(deposit[0], trie));
+            } else {
+                path.truncate(common);
+            }
+            for &v in &deposit[path.len()..] {
+                let node = trie.add_child(*path.last().expect("a root"), v);
+                path.push(node);
+            }
+            previous = deposit;
+        }
+    }
+
+    /// The trie root of `candidate`, created if it has none. A candidate has
+    /// at most one live root, so shedding it sheds all of its trie.
+    fn root(&mut self, candidate: VertexId, trie: &mut EmbeddingTrie) -> NodeId {
+        if let Some(&id) = self.roots.get(&candidate) {
+            // the id may have been freed (the root lost its last child) and
+            // reused for another node since
+            if trie.is_live(id) && trie.parent(id).is_none() && trie.vertex(id) == candidate {
+                return id;
+            }
+        }
+        let id = trie.add_root(candidate);
+        self.roots.insert(candidate, id);
+        id
+    }
+
+    /// Takes back what the descent did for `candidates`, shed in `round`:
+    /// their deposits for later rounds, counts and collected embeddings.
+    /// (Their deposits for `round` are in the trie, under the shed roots.)
+    fn shed(&mut self, candidates: &[VertexId], round: usize) {
+        let shed: HashSet<VertexId> = candidates.iter().copied().collect();
+        for later in round + 1..self.deposits.len() {
+            let width = self.widths[later];
+            self.deposits[later] = self.deposits[later]
+                .chunks_exact(width)
+                .filter(|deposit| !shed.contains(&deposit[0]))
+                .flatten()
+                .copied()
+                .collect();
+        }
+        self.found.retain(|candidate, _| !shed.contains(candidate));
+        let start = self.order[0];
+        self.collected.retain(|embedding| !shed.contains(&embedding[start]));
+    }
+
+    /// Bytes of the waiting deposits.
+    fn memory_bytes(&self) -> usize {
+        self.deposits.iter().map(Vec::len).sum::<usize>() * std::mem::size_of::<VertexId>()
+    }
+
+    /// Trie nodes plus the deposits counted in nodes: what the governor's
+    /// re-fit charges to the candidates in flight.
+    fn live_nodes(&self, trie: &EmbeddingTrie) -> usize {
+        trie.node_count() + self.memory_bytes().div_ceil(EmbeddingTrie::NODE_BYTES)
+    }
+
+    fn depth_first_embeddings(&self) -> u64 {
+        self.found.values().sum()
+    }
 }
 
 /// Re-groups candidates shed from an overflowing region group and re-queues
@@ -994,10 +1346,12 @@ fn spill_candidates(
     group_queue.lock().extend(groups);
 }
 
-/// Inserts the extensions of one parent embedding under `parent`, sharing the
-/// prefixes that consecutive extensions have in common (they are produced in
-/// backtracking order, so identical prefixes are adjacent), and records every
-/// undetermined edge in the EVI keyed by the completed candidate's node id.
+/// Inserts the extensions of one parent embedding that wait for `verifyE`
+/// (those with an undetermined edge) under `parent`, sharing the prefixes
+/// that consecutive insertions have in common (extensions are produced in
+/// backtracking order, so identical prefixes are adjacent), and records
+/// every undetermined edge in the EVI keyed by the completed candidate's
+/// node id.
 fn insert_extensions(
     trie: &mut EmbeddingTrie,
     parent: NodeId,
@@ -1006,6 +1360,9 @@ fn insert_extensions(
 ) {
     let mut prev: Vec<(VertexId, NodeId)> = Vec::new();
     for i in 0..extensions.len() {
+        if extensions.undetermined(i).is_empty() {
+            continue;
+        }
         let leaves = extensions.leaves(i);
         let mut common = 0;
         while common < prev.len()

@@ -253,6 +253,37 @@ impl Expander {
         f: &mut [Option<VertexId>],
         oracle: &O,
     ) -> &ExtensionBuffer {
+        self.run::<false, O>(ctx, f, oracle);
+        &self.out
+    }
+
+    /// [`expand`](Self::expand) for a caller that can only use embeddings:
+    /// gives up at the first edge the oracle cannot decide and returns
+    /// `None`, with the output empty and `f` restored. When it returns a
+    /// buffer, that buffer is exactly what `expand` would have produced,
+    /// and no extension in it has an undetermined edge.
+    pub fn expand_strict<O: AdjacencyOracle + ?Sized>(
+        &mut self,
+        ctx: &UnitExpansion<'_>,
+        f: &mut [Option<VertexId>],
+        oracle: &O,
+    ) -> Option<&ExtensionBuffer> {
+        if self.run::<true, O>(ctx, f, oracle) {
+            Some(&self.out)
+        } else {
+            self.out.reset(ctx.leaves.len());
+            None
+        }
+    }
+
+    /// Fills `out` with the extensions of `f`; `false` when `STRICT` and an
+    /// undetermined edge cut the enumeration short.
+    fn run<const STRICT: bool, O: AdjacencyOracle + ?Sized>(
+        &mut self,
+        ctx: &UnitExpansion<'_>,
+        f: &mut [Option<VertexId>],
+        oracle: &O,
+    ) -> bool {
         self.out.reset(ctx.leaves.len());
         if self.bufs.len() < ctx.leaves.len() {
             self.bufs.resize_with(ctx.leaves.len(), Vec::new);
@@ -265,25 +296,24 @@ impl Expander {
         let Some(pivot_adj) = oracle.adjacency(pivot_data) else {
             // The engine fetches the pivot's adjacency before expanding;
             // reaching this branch means the vertex has no adjacency at all.
-            return &self.out;
+            return true;
         };
-        self.backtrack(ctx, 0, pivot_adj, f, oracle);
-        &self.out
+        self.backtrack::<STRICT, O>(ctx, 0, pivot_adj, f, oracle)
     }
 
-    fn backtrack<O: AdjacencyOracle + ?Sized>(
+    fn backtrack<const STRICT: bool, O: AdjacencyOracle + ?Sized>(
         &mut self,
         ctx: &UnitExpansion<'_>,
         idx: usize,
         pivot_adj: &[VertexId],
         f: &mut [Option<VertexId>],
         oracle: &O,
-    ) {
+    ) -> bool {
         if idx == ctx.leaves.len() {
             // split borrows: `out` is disjoint from the stacks
             let Expander { out, leaves_assigned, undetermined, .. } = self;
             out.push(leaves_assigned, undetermined);
-            return;
+            return true;
         }
         let u = ctx.leaves[idx];
 
@@ -319,6 +349,7 @@ impl Expander {
             &buf
         };
 
+        let mut complete = true;
         'candidates: for &v in candidates {
             // injectivity against every matched query vertex
             if f.contains(&Some(v)) {
@@ -341,19 +372,27 @@ impl Expander {
                         self.undetermined.truncate(undetermined_before);
                         continue 'candidates;
                     }
+                    None if STRICT => {
+                        complete = false;
+                        break 'candidates;
+                    }
                     None => self.undetermined.push((v, v2)),
                 }
             }
             f[u] = Some(v);
             self.leaves_assigned.push(v);
-            self.backtrack(ctx, idx + 1, pivot_adj, f, oracle);
+            complete = self.backtrack::<STRICT, O>(ctx, idx + 1, pivot_adj, f, oracle);
             self.leaves_assigned.pop();
             f[u] = None;
             self.undetermined.truncate(undetermined_before);
+            if !complete {
+                break;
+            }
         }
 
         self.bufs[idx] = buf;
         self.probes[idx] = probe;
+        complete
     }
 }
 
@@ -550,6 +589,111 @@ mod tests {
         let exts = expander.expand(&tri_ctx, &mut f, &tri_oracle).to_extensions();
         assert_eq!(exts.len(), 2); // both leaf orders of the one triangle
         assert!(expander.intersect_stats().kernel_calls > 0);
+    }
+
+    /// Counts the edge decisions asked of the wrapped oracle.
+    struct CountingOracle {
+        inner: MapOracle,
+        decisions: std::cell::Cell<usize>,
+    }
+
+    impl AdjacencyOracle for CountingOracle {
+        fn adjacency(&self, v: VertexId) -> Option<&[VertexId]> {
+            self.inner.adjacency(v)
+        }
+
+        fn decide_edge(&self, u: VertexId, v: VertexId) -> Option<bool> {
+            self.decisions.set(self.decisions.get() + 1);
+            self.inner.decide_edge(u, v)
+        }
+    }
+
+    #[test]
+    fn strict_expansion_stops_at_the_first_undetermined_edge() {
+        // a 6-clique seen from vertex 0 alone: every sibling edge of a
+        // triangle through 0 is undetermined
+        let edges: Vec<(VertexId, VertexId)> =
+            (0..6).flat_map(|a| (a + 1..6).map(move |b| (a, b))).collect();
+        let oracle = CountingOracle {
+            inner: MapOracle::from_edges(&[0], &edges),
+            decisions: std::cell::Cell::new(0),
+        };
+        let pattern = queries::query_by_name("triangle").unwrap();
+        let plan = best_plan(&pattern, &PlannerConfig::default());
+        let symmetry = SymmetryBreaking::disabled(&pattern);
+        let ctx = UnitExpansion::new(&pattern, &plan, &symmetry, 0);
+        let mut f = vec![None; 3];
+        f[ctx.pivot()] = Some(0);
+        let before = f.clone();
+        let mut expander = Expander::new();
+
+        assert_eq!(expander.expand(&ctx, &mut f, &oracle).len(), 20);
+        assert_eq!(oracle.decisions.get(), 20, "one decision per ordered leaf pair");
+        oracle.decisions.set(0);
+
+        assert!(expander.expand_strict(&ctx, &mut f, &oracle).is_none());
+        assert_eq!(oracle.decisions.get(), 1, "strict expansion went past the first unknown");
+        assert_eq!(f, before, "f not restored after the abort");
+        assert_eq!(expander.memory_bytes(), 0, "an aborted expansion keeps no output");
+    }
+
+    /// Expands the parent in `f` at `round` with both modes and checks that
+    /// strict expansion returns the full expansion's buffer and leaves `f`
+    /// as it found it; then recurses into every extension. Returns the
+    /// parents checked.
+    fn check_strict_matches_full(
+        units: &[UnitExpansion<'_>],
+        round: usize,
+        f: &mut [Option<VertexId>],
+        oracle: &MapOracle,
+        expanders: &mut (Expander, Expander),
+    ) -> usize {
+        let before = f.to_vec();
+        let expected = expanders.0.expand(&units[round], f, oracle).to_extensions();
+        let strict = expanders
+            .1
+            .expand_strict(&units[round], f, oracle)
+            .expect("nothing is undetermined when every vertex is known")
+            .to_extensions();
+        assert_eq!(strict, expected, "round {round}, parent {before:?}");
+        assert_eq!(f, &before[..], "f not restored");
+        let mut checked = 1;
+        if round + 1 < units.len() {
+            for extension in &expected {
+                for (&u, &v) in units[round].leaves().iter().zip(&extension.leaves) {
+                    f[u] = Some(v);
+                }
+                checked += check_strict_matches_full(units, round + 1, f, oracle, expanders);
+                for &u in units[round].leaves() {
+                    f[u] = None;
+                }
+            }
+        }
+        checked
+    }
+
+    #[test]
+    fn strict_expansion_equals_full_expansion_without_undetermined_edges() {
+        let edges: Vec<(VertexId, VertexId)> = (0..16u32)
+            .flat_map(|i| [1, 2, 3, 5].map(|step| (i, (i + step) % 16)))
+            .collect();
+        let all: Vec<VertexId> = (0..16).collect();
+        let oracle = MapOracle::from_edges(&all, &edges);
+        let mut expanders = (Expander::new(), Expander::new());
+        for pattern in [queries::q1(), queries::q4(), queries::q5(), queries::q7()] {
+            let plan = best_plan(&pattern, &PlannerConfig::default());
+            let symmetry = SymmetryBreaking::new(&pattern);
+            let units: Vec<UnitExpansion<'_>> = (0..plan.rounds())
+                .map(|round| UnitExpansion::new(&pattern, &plan, &symmetry, round))
+                .collect();
+            let mut checked = 0;
+            for start in all.iter().copied() {
+                let mut f = vec![None; pattern.vertex_count()];
+                f[plan.start_vertex()] = Some(start);
+                checked += check_strict_matches_full(&units, 0, &mut f, &oracle, &mut expanders);
+            }
+            assert!(checked > all.len(), "no parent beyond round 0 was checked");
+        }
     }
 
     /// The flat buffer addresses extensions correctly (leaf chunks and

@@ -7,11 +7,13 @@
 //! that sample and a group sized for `Φ` can blow an order of magnitude past
 //! it. The governor closes the loop:
 //!
-//! * it **tracks live bytes** — embedding-trie nodes plus the expansion
+//! * it **tracks live bytes** — embedding-trie nodes, the embeddings the
+//!   depth-first descent deposited for a later round, and the expansion
 //!   buffers — after every unit of expansion work and records the peak;
 //! * when a region group threatens to overflow `Φ` mid-flight it **splits
 //!   the group adaptively**: the start candidates not yet expanded are shed
-//!   (their partial subtrees removed from the trie), re-grouped under the
+//!   (their partial subtrees removed from the trie, their deposits and
+//!   depth-first results dropped), re-grouped under the
 //!   re-fitted estimator, and re-queued on the machine's shared group queue,
 //!   where the work-stealing pool — or another machine's `shareR` — picks
 //!   them up;

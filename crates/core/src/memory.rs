@@ -32,7 +32,8 @@ pub const MEMORY_BUDGET_ENV: &str = "RADS_MEMORY_BUDGET";
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryBudget {
     /// `Φ`: the bytes one region group's intermediate results (embedding-trie
-    /// nodes plus expansion buffers) may occupy. Enforced a priori by region
+    /// nodes, deposits waiting for a later round, expansion buffers) may
+    /// occupy. Enforced a priori by region
     /// grouping and at runtime by the memory governor.
     pub region_group_bytes: usize,
     /// The separate, evictable allowance for fetched foreign vertices

@@ -81,6 +81,7 @@ pub fn publish_engine_stats(stats: &EngineStats) {
     }
     counter("rads_sme_embeddings_total").add(stats.sme_embeddings);
     counter("rads_distributed_embeddings_total").add(stats.distributed_embeddings);
+    counter("rads_depth_first_embeddings_total").add(stats.depth_first_embeddings);
     counter("rads_groups_created_total").add(stats.groups_created as u64);
     counter("rads_groups_processed_total").add(stats.groups_processed as u64);
     counter("rads_groups_stolen_total").add(stats.groups_stolen as u64);

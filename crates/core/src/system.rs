@@ -77,14 +77,17 @@ pub struct RadsConfig {
     /// exactly the same `total_embeddings`, the same per-machine embedding
     /// counts, the same collected embeddings (sorted lexicographically per
     /// machine), and the same values for every schedule-independent
-    /// statistic (SM-E counters, groups created, trie sizes and peaks,
-    /// undetermined edges, filtered candidates). With `workers == 1` the
+    /// statistic (SM-E counters, groups created). With `workers == 1` the
     /// engine runs the paper's sequential code path inline — no pool thread
-    /// is spawned. Only communication-volume numbers (cache hits/misses,
+    /// is spawned. Communication-volume numbers (cache hits/misses,
     /// `fetchV`/`verifyE` request counts and therefore traffic bytes) may
     /// vary with `workers > 1`, because each worker drains against a
     /// foreign-vertex cache of its own and which worker's cache already
-    /// holds a vertex depends on the schedule.
+    /// holds a vertex depends on the schedule. So may everything that
+    /// depends on which adjacency a worker knows when it expands a group:
+    /// trie sizes and peaks, undetermined edges, filtered candidates and
+    /// the depth-first share of the embeddings. They are identical while
+    /// each machine drains a single region group.
     ///
     /// `Default` reads the `RADS_WORKERS` environment variable (see
     /// [`rads_exec::workers_from_env`]), defaulting to 1.

@@ -20,10 +20,11 @@ use rads_obs::{EpochLedger, MetricsSnapshot, Registry};
 
 /// Counters whose per-run value is schedule-independent — identical across
 /// repeated runs of the same `(cluster, pattern, config)`.
-const STABLE_COUNTERS: [&str; 4] = [
+const STABLE_COUNTERS: [&str; 5] = [
     "rads_groups_created_total",
     "rads_sme_embeddings_total",
     "rads_distributed_embeddings_total",
+    "rads_depth_first_embeddings_total",
     "rads_trie_nodes_created_total",
 ];
 

@@ -66,10 +66,14 @@ fn answer(cluster: &Cluster, query: &str, driver: RoundDriver) -> Answer {
     }
 }
 
+fn graph() -> Graph {
+    generate(DatasetKind::Dblp, Scale(0.05), 7).graph
+}
+
 fn partitioned() -> Arc<PartitionedGraph> {
-    let dataset = generate(DatasetKind::Dblp, Scale(0.05), 7);
-    let partitioning = LabelPropagationPartitioner::default().partition(&dataset.graph, MACHINES);
-    Arc::new(PartitionedGraph::build(&dataset.graph, partitioning))
+    let graph = graph();
+    let partitioning = LabelPropagationPartitioner::default().partition(&graph, MACHINES);
+    Arc::new(PartitionedGraph::build(&graph, partitioning))
 }
 
 fn transports() -> &'static [TransportKind] {
@@ -278,4 +282,52 @@ fn a_warm_store_sends_fewer_requests_and_reports_only_its_own_lookups() {
         }
         assert!(looked_up > 0, "no query looked anything up: the bound above is vacuous");
     }
+}
+
+#[test]
+fn the_mixed_depth_first_and_batched_path_finds_every_embedding_once() {
+    // Warm stores make the descent depth-first wherever a machine knows the
+    // adjacency; a 4 KiB cache allowance keeps evicting what it knows, so
+    // parents fall back to deposits and the batched rounds; a 4 KiB `Φ`
+    // makes the governor shed candidates while their deposits wait.
+    let graph = graph();
+    let cluster = Cluster::new(partitioned());
+    let warm_up = queries::query_by_name("q1").expect("known query");
+    let (mut depth_first, mut deposits, mut splits) = (0, 0, 0);
+    for workers in [1, 4] {
+        for driver in [RoundDriver::Serial, RoundDriver::Async] {
+            let config = RadsConfig {
+                memory_budget: MemoryBudget::from_bytes(4096),
+                workers,
+                round_driver: driver,
+                collect_embeddings: true,
+                ..RadsConfig::default()
+            };
+            let leg = format!("{workers} worker(s), {driver:?}");
+            let stores = stores(4096);
+            run_rads_resident(&cluster, &warm_up, &config, &stores);
+            for name in ["q4", "q5", "c3"] {
+                let pattern = queries::query_by_name(name).expect("known query");
+                let outcome = run_rads_resident(&cluster, &pattern, &config, &stores);
+                assert_eq!(
+                    outcome.total_embeddings,
+                    count_embeddings(&graph, &pattern),
+                    "{name}: count ({leg})"
+                );
+                assert_eq!(
+                    digest(outcome.all_embeddings()),
+                    digest(collect_embeddings(&graph, &pattern)),
+                    "{name}: embeddings ({leg})"
+                );
+                for machine in &outcome.per_machine {
+                    depth_first += machine.stats.depth_first_embeddings;
+                    deposits += machine.stats.depth_first_deposits;
+                    splits += machine.stats.governor_splits;
+                }
+            }
+        }
+    }
+    assert!(depth_first > 0, "nothing was found depth-first");
+    assert!(deposits > 0, "the descent never deposited for a batched round");
+    assert!(splits > 0, "the governor never shed a candidate");
 }
