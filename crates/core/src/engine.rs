@@ -42,36 +42,70 @@
 //!
 //! Algorithm 4 materialises every round breadth-first into the embedding
 //! trie and the EVI, because some edge *might* be undetermined. Here each
-//! parent goes depth-first across the units for as long as the adjacency it
-//! needs is known on the machine — owned, in the checked-out cache or in the
-//! round's scratch cache — and only the unknown frontier waits for the
-//! batched rounds (a deliberate deviation from the paper):
+//! parent goes depth-first for as long as the adjacency it needs is known
+//! on the machine — owned, in the checked-out cache or in the round's
+//! scratch cache — and only the unknown frontier waits for the batched
+//! rounds (a deliberate deviation from the paper):
 //!
-//! * A parent of a round (a start candidate in round 0, a trie node later)
-//!   is expanded in full. An extension with an undetermined edge goes into
-//!   the trie and the EVI as in the paper; any other extension is an
-//!   embedding of the sub-pattern already and descends into the next
-//!   round, where one [`Expander`] per round expands it *strictly*
-//!   ([`Expander::expand_strict`]: it gives up at the first undetermined
-//!   edge). At the last unit the extensions are counted, or collected.
+//! * A parent of a round (a start candidate in round 0, a trie node later,
+//!   deposits included) first tries to match the **whole rest of the
+//!   pattern one query vertex at a time**, in the machine's descent order
+//!   ([`Expander::expand_strict`] over [`UnitExpansion::from_order`]). A
+//!   vertex's candidates are the intersection of every matched neighbour's
+//!   known list; a neighbour whose list is unknown is asked through
+//!   [`AdjacencyOracle::decide_edge`]. The embeddings it completes are
+//!   counted, or collected.
+//! * The attempt is *abandoned* at the first edge it cannot decide, or at
+//!   the first vertex none of whose matched neighbours has a known list. It
+//!   keeps nothing — no count, no embedding — and the parent takes the unit
+//!   path below, exactly as if the attempt had never run
+//!   ([`EngineStats::depth_first_abandoned`] counts these).
+//! * The unit path expands the parent's unit in full. An extension with an
+//!   undetermined edge goes into the trie and the EVI as in the paper; any
+//!   other extension is an embedding of the sub-pattern already and
+//!   descends into the next round, where one [`Expander`] per round expands
+//!   it strictly. At the last unit the extensions are counted, or
+//!   collected.
 //! * An embedding of `P_{r-1}` whose round-`r` pivot is unknown, or whose
-//!   strict expansion gave up, is *deposited*: it waits in a per-round list
-//!   and joins the trie, under its start candidate's one root, when round
-//!   `r` starts, so that round's batched `fetchV` and `verifyE` cover it
-//!   with the breadth-first parents. Nothing is enumerated twice. (Rolling
-//!   a candidate back to breadth-first on its first unknown edge instead
-//!   made every cold candidate pay twice.)
+//!   strict unit expansion gave up, is *deposited*: it waits in a per-round
+//!   list and joins the trie, under its start candidate's one root, when
+//!   round `r` starts, so that round's batched `fetchV` and `verifyE` cover
+//!   it with the breadth-first parents.
 //! * The governor charges the deposits with the trie. A candidate shed in a
 //!   later round takes back its depth-first count, its deposits for later
 //!   rounds and its collected embeddings before it restarts from round 0.
 //!
-//! A warm resident machine therefore enumerates like a single-machine
-//! backtracker, with an empty trie. The Tables 3–4 accounting
-//! (`trie_nodes_created`, `embedding_*_bytes`) counts only what was
-//! materialised; [`EngineStats::depth_first_embeddings`] counts the rest.
-//! Which parent goes which way depends on the cache contents, so — like the
-//! undetermined edges before them — these statistics vary with the
-//! schedule wherever the cache contents do.
+//! **The descent order.** A unit matches all its leaves from its pivot, so
+//! K3,3's round 0 enumerates a three-leaf star before any back edge prunes
+//! it. One vertex at a time, the order decides how early the back edges
+//! prune, and no order derived from the pattern alone wins everywhere: the
+//! plan's Definition-10 order visits half the greedy order's search nodes
+//! on the 5-cycle of the LiveJournal stand-in, the greedy order a fifth of
+//! the plan's on K3,3 there and on the 6-cycle of the RoadNet stand-in. So
+//! each machine measures: once per pattern it runs the single enumerator in
+//! both orders over the same sample of its own start candidates and keeps
+//! the one that visits fewer nodes ([`crate::sme::choose_descent_order`],
+//! cached in the [`ForeignStore`]). SM-E matches in the same order.
+//!
+//! **What the attempts cost.** On a warm resident machine nearly every
+//! attempt completes: the machine enumerates like a single-machine
+//! backtracker, with an empty trie. On a cold one a start candidate's attempt
+//! often enumerates most of its search tree before it meets two adjacent
+//! vertices the machine knows nothing about, and the unit path then does that
+//! work again. Measured ungated on the LiveJournal stand-in (scale 0.25, 4
+//! machines, 1 worker, one-shot `run_rads`, a 2-core host): c3's abandoned
+//! attempts visited 240 k search nodes beside the 459 k its completed ones
+//! kept, and the run cost 1.6× the CPU of the same run without attempts (q3
+//! 1.25×). So each round's attempts pass a gate: while most of the last 32
+//! attempts gave up, one parent in 16 tries. Cold c3 and q3 then cost what
+//! they cost without attempts (c3 219–239 against 219–231 CPU-ms, q3 300–305
+//! against 291–299).
+//!
+//! The Tables 3–4 accounting (`trie_nodes_created`, `embedding_*_bytes`)
+//! counts only what was materialised; [`EngineStats::depth_first_embeddings`]
+//! counts the rest. Which parent goes which way depends on the cache
+//! contents, so — like the undetermined edges before them — these
+//! statistics vary with the schedule wherever the cache contents do.
 //!
 //! # Round drivers: scatter / harvest
 //!
@@ -123,11 +157,11 @@ use rads_runtime::{ConfigError, MachineContext, PendingResponse, Request, Respon
 use crate::cache::ForeignVertexCache;
 use crate::daemon::GroupQueue;
 use crate::evi::EdgeVerificationIndex;
-use crate::expand::{AdjacencyOracle, Expander, ExtensionBuffer, UnitExpansion};
+use crate::expand::{AdjacencyOracle, Expander, ExtensionBuffer, Sink, UnitExpansion};
 use crate::governor::MemoryGovernor;
 use crate::memory::{MemoryBudget, SpaceEstimator};
 use crate::region::{find_region_groups, foreign_members, GroupingStrategy};
-use crate::sme::run_sme;
+use crate::sme::run_sme_in_order;
 use crate::store::ForeignStore;
 use crate::trie::{EmbeddingTrie, NodeId};
 
@@ -267,6 +301,15 @@ pub struct EngineStats {
     /// batched round, because that round's pivot adjacency was unknown or
     /// its unit met an undetermined edge.
     pub depth_first_deposits: u64,
+    /// Parents whose attempt to match the whole rest of the pattern in the
+    /// descent order gave up at an unknown adjacency, and which went the
+    /// unit path instead (see the
+    /// [module docs](self#depth-first-as-far-as-adjacency-is-known)).
+    pub depth_first_abandoned: u64,
+    /// The order this machine's depth-first descent and SM-E matched the
+    /// pattern in: the plan's or the greedy one, whichever the machine
+    /// measured as cheaper ([`ForeignStore::descent_order`]).
+    pub descent_order: Vec<PatternVertex>,
     /// Start candidates handled by SM-E.
     pub sme_candidates: usize,
     /// Start candidates handled by R-Meef (own groups).
@@ -380,6 +423,7 @@ impl MachineOutput {
         s.distributed_embeddings += w.distributed_embeddings;
         s.depth_first_embeddings += w.depth_first_embeddings;
         s.depth_first_deposits += w.depth_first_deposits;
+        s.depth_first_abandoned += w.depth_first_abandoned;
         s.sme_candidates += w.sme_candidates;
         s.distributed_candidates += w.distributed_candidates;
         s.groups_created += w.groups_created;
@@ -564,17 +608,32 @@ pub fn run_machine(
     // even if SM-E or grouping unwinds, so no peer waits out the limit
     let unwind_guard = PublishOnDrop(&group_queue);
 
+    // The order SM-E and the depth-first descent match in: measured once
+    // per pattern on this machine, then kept in the store.
+    let descent_order = {
+        let _order_span = rads_obs::span("descent_order", "engine");
+        store.descent_order(local, pattern, plan)
+    };
+    if let Some(packed) = packed_order(descent_order.order()) {
+        query_span.attr("descent_order", packed);
+    }
+
     // ---- Phase 1: SM-E -----------------------------------------------------
     let mut sme_span = rads_obs::span("sme", "engine");
-    let sme = run_sme(local, pattern, plan, config.enable_sme, &exec);
+    let sme = run_sme_in_order(
+        local,
+        pattern,
+        &descent_order,
+        config.enable_sme,
+        config.collect_embeddings,
+        &exec,
+    );
     sme_span.attr("embeddings", sme.count);
     drop(sme_span);
     output.stats.sme_embeddings = sme.count;
     output.stats.sme_candidates = sme.local_candidates;
     output.count += sme.count;
-    if config.collect_embeddings {
-        output.embeddings.extend(sme.embeddings.iter().cloned());
-    }
+    output.embeddings = sme.embeddings;
 
     // ---- Phase 2: region grouping -------------------------------------------
     output.stats.distributed_candidates = sme.remaining_candidates.len();
@@ -608,13 +667,19 @@ pub fn run_machine(
     let estimator = sme.estimator;
     let worker_outputs = scoped_workers(exec.effective_workers(), |_worker| {
         let first = first.lock().take();
-        drain_region_groups(
-            ctx, pattern, plan, &symmetry, first, &group_queue, config, estimator, store,
-        )
+        let descent = Descent::new(
+            pattern,
+            plan,
+            &symmetry,
+            descent_order.order(),
+            config.collect_embeddings,
+        );
+        drain_region_groups(ctx, plan, descent, first, &group_queue, config, estimator, store)
     });
     for worker_output in worker_outputs {
         output.absorb(worker_output);
     }
+    output.stats.descent_order = descent_order.order().to_vec();
     output.stats.estimated_bytes_per_candidate =
         (estimator.nodes_per_candidate() * EmbeddingTrie::NODE_BYTES as f64).round() as u64;
     if config.collect_embeddings {
@@ -632,6 +697,15 @@ pub fn run_machine(
     // flushed when they exited.
     rads_obs::flush_thread();
     output
+}
+
+/// Packs `order` into one hexadecimal digit per vertex, the first vertex
+/// highest — the form a span attribute can carry. `None` past 16 vertices.
+fn packed_order(order: &[PatternVertex]) -> Option<u64> {
+    if order.len() > 16 || order.iter().any(|&u| u >= 16) {
+        return None;
+    }
+    Some(order.iter().fold(0, |packed, &u| packed << 4 | u as u64))
 }
 
 /// Publishes its queue (adding nothing) when dropped.
@@ -659,9 +733,8 @@ impl Drop for PublishOnDrop<'_> {
 #[allow(clippy::too_many_arguments)]
 fn drain_region_groups(
     ctx: &MachineContext,
-    pattern: &Pattern,
     plan: &ExecutionPlan,
-    symmetry: &SymmetryBreaking,
+    mut descent: Descent<'_>,
     mut first: Option<Vec<VertexId>>,
     group_queue: &GroupQueue,
     config: &EngineConfig,
@@ -704,7 +777,7 @@ fn drain_region_groups(
             prefetch.scatter(ctx, ctx.partition(), &next, &mut cache, &mut output.stats);
         }
         process_region_group(
-            ctx, pattern, plan, symmetry, &group, &mut cache, &mut expanders, &mut governor,
+            ctx, plan, &mut descent, &group, &mut cache, &mut expanders, &mut governor,
             group_queue, config, &mut output,
         );
         output.stats.groups_processed += 1;
@@ -753,7 +826,7 @@ fn drain_region_groups(
                     let first = groups.next().expect("non-empty");
                     group_queue.lock().extend(groups);
                     process_region_group(
-                        ctx, pattern, plan, symmetry, &first, &mut cache, &mut expanders,
+                        ctx, plan, &mut descent, &first, &mut cache, &mut expanders,
                         &mut governor, group_queue, config, &mut output,
                     );
                     output.stats.groups_processed += 1;
@@ -762,7 +835,7 @@ fn drain_region_groups(
                         let local_group = group_queue.lock().pop_front();
                         let Some(local_group) = local_group else { break };
                         process_region_group(
-                            ctx, pattern, plan, symmetry, &local_group, &mut cache, &mut expanders,
+                            ctx, plan, &mut descent, &local_group, &mut cache, &mut expanders,
                             &mut governor, group_queue, config, &mut output,
                         );
                         output.stats.groups_processed += 1;
@@ -784,7 +857,7 @@ fn drain_region_groups(
     if config.enable_cache {
         store.check_in(cache);
     }
-    for expander in &expanders {
+    for expander in expanders.iter().chain([&descent.whole]) {
         output.stats.intersect.absorb(expander.intersect_stats());
     }
     output.stats.peak_tracked_bytes = governor.stats.peak_tracked_bytes;
@@ -815,9 +888,8 @@ fn drain_region_groups(
 #[allow(clippy::too_many_arguments)]
 fn process_region_group(
     ctx: &MachineContext,
-    pattern: &Pattern,
     plan: &ExecutionPlan,
-    symmetry: &SymmetryBreaking,
+    descent: &mut Descent<'_>,
     group: &[VertexId],
     cache: &mut ForeignVertexCache,
     expanders: &mut [Expander],
@@ -827,12 +899,11 @@ fn process_region_group(
     output: &mut MachineOutput,
 ) {
     let local = ctx.partition();
-    let n = pattern.vertex_count();
+    let n = plan.pattern().vertex_count();
     let order = plan.matching_order();
     let mut trie = EmbeddingTrie::new();
     let mut evi = EdgeVerificationIndex::new();
     let mut scratch_cache = ForeignVertexCache::with_capacity(config.budget.cache_bytes);
-    let descent = Descent::new(pattern, plan, symmetry, config.collect_embeddings);
     let mut frontier = Frontier::new(plan);
     // Start candidates still in flight; shrinks when the governor sheds.
     let mut retained = group.len();
@@ -1026,6 +1097,7 @@ fn process_region_group(
     let found = final_leaves.len() as u64 + depth_first;
     output.stats.depth_first_embeddings += depth_first;
     output.stats.depth_first_deposits += frontier.deposited;
+    output.stats.depth_first_abandoned += frontier.abandoned;
     output.stats.distributed_embeddings += found;
     output.count += found;
     if config.collect_embeddings {
@@ -1065,11 +1137,67 @@ fn tracked_bytes(trie: &EmbeddingTrie, frontier: &Frontier<'_>, expanders: &[Exp
         + expanders.iter().map(Expander::memory_bytes).sum::<usize>()
 }
 
-/// The units of a plan chained depth-first: one expansion context per round.
+/// How one drain goes depth-first: per round, the whole rest of the pattern
+/// in the machine's descent order, and the plan's units chained for the
+/// parents where that attempt gives up.
 struct Descent<'a> {
     units: Vec<UnitExpansion<'a>>,
+    /// `rest[r]`: the vertices a parent of round `r` leaves unmatched, in
+    /// the descent order.
+    rest: Vec<UnitExpansion<'a>>,
+    /// The expander of the whole-rest attempts; the unit path has one per
+    /// round of its own.
+    whole: Expander,
+    /// `gates[r]` admits the attempts of round `r`'s parents: a start
+    /// candidate's attempt enumerates its whole search tree and fails far
+    /// more often than a deep parent's, so each round is judged alone.
+    gates: Vec<AttemptGate>,
     start: PatternVertex,
     collect: bool,
+}
+
+/// Whole-rest attempts a drain makes per round before it judges how they
+/// fare, and again after every such window.
+const ATTEMPT_WINDOW: u32 = 32;
+
+/// While most attempts of the last window gave up, one parent in this many
+/// makes one.
+const SPARSE_ATTEMPTS: u32 = 16;
+
+/// Which parents try the whole rest first: every one while most attempts
+/// complete, one in [`SPARSE_ATTEMPTS`] while most give up. An attempt that
+/// gives up late costs nearly the work of the unit path it falls back to,
+/// and on a cold cache most do; the sparse attempts still notice when the
+/// cache has warmed.
+#[derive(Debug, Default)]
+struct AttemptGate {
+    /// Attempts, and how many of them gave up, in the current window.
+    tried: u32,
+    abandoned: u32,
+    /// Most attempts of the last window gave up.
+    sparse: bool,
+    /// Parents seen while sparse.
+    passed: u32,
+}
+
+impl AttemptGate {
+    fn admits(&mut self) -> bool {
+        if !self.sparse {
+            return true;
+        }
+        self.passed += 1;
+        self.passed.is_multiple_of(SPARSE_ATTEMPTS)
+    }
+
+    fn record(&mut self, abandoned: bool) {
+        self.tried += 1;
+        self.abandoned += u32::from(abandoned);
+        if self.tried == ATTEMPT_WINDOW {
+            self.sparse = 2 * self.abandoned > self.tried;
+            self.tried = 0;
+            self.abandoned = 0;
+        }
+    }
 }
 
 impl<'a> Descent<'a> {
@@ -1077,25 +1205,114 @@ impl<'a> Descent<'a> {
         pattern: &'a Pattern,
         plan: &ExecutionPlan,
         symmetry: &'a SymmetryBreaking,
+        order: &[PatternVertex],
         collect: bool,
     ) -> Self {
+        let start = plan.start_vertex();
+        let rest = (0..plan.rounds())
+            .map(|round| {
+                let matched =
+                    if round == 0 { &[start][..] } else { plan.sub_pattern_vertices(round - 1) };
+                let rest = order.iter().copied().filter(|u| !matched.contains(u)).collect();
+                UnitExpansion::from_order(pattern, symmetry, rest)
+            })
+            .collect();
         Descent {
             units: (0..plan.rounds())
                 .map(|round| UnitExpansion::new(pattern, plan, symmetry, round))
                 .collect(),
-            start: plan.start_vertex(),
+            rest,
+            whole: Expander::new(),
+            gates: (0..plan.rounds()).map(|_| AttemptGate::default()).collect(),
+            start,
             collect,
         }
     }
 
-    /// Expands one parent of `round` in full: a start candidate in round 0
-    /// (`parent` is `None`), a trie node later. An extension with an
-    /// undetermined edge goes into the trie under the parent and its edges
-    /// into the EVI, for this round's `verifyE` to decide; every other
-    /// extension is an embedding of `P_round` already and goes on
-    /// depth-first. A trie parent left without children is removed.
+    /// What the descent keeps of the embeddings it completes.
+    fn sink(&self) -> Sink {
+        if self.collect {
+            Sink::Store
+        } else {
+            Sink::Count
+        }
+    }
+
+    /// Expands one parent of `round`: a start candidate in round 0 (`parent`
+    /// is `None`), a trie node later. First — when the gate admits it — it
+    /// tries to match the whole rest of the pattern one vertex at a time;
+    /// when that gives up, or is not tried, it expands the round's unit in
+    /// full. An extension with an undetermined edge goes
+    /// into the trie under the parent and its edges into the EVI, for this
+    /// round's `verifyE` to decide; every other extension is an embedding of
+    /// `P_round` already and goes on depth-first. A trie parent left without
+    /// children is removed.
     #[allow(clippy::too_many_arguments)]
     fn expand_parent(
+        &mut self,
+        frontier: &mut Frontier<'_>,
+        round: usize,
+        parent: Option<NodeId>,
+        f: &mut [Option<VertexId>],
+        trie: &mut EmbeddingTrie,
+        evi: &mut EdgeVerificationIndex,
+        expanders: &mut [Expander],
+        oracle: &mut MachineOracle<'_>,
+    ) {
+        if self.gates[round].admits() {
+            let completed = self.complete_rest(frontier, round, parent, f, trie, oracle);
+            self.gates[round].record(!completed);
+            if completed {
+                return;
+            }
+            frontier.abandoned += 1;
+        }
+        self.expand_unit(frontier, round, parent, f, trie, evi, expanders, oracle);
+    }
+
+    /// Tries to match the whole rest of the pattern below the parent of
+    /// `round` in `f`, one vertex at a time in the descent order. When it
+    /// completes, what it found is counted (or collected) and a trie parent
+    /// is removed; when it gives up, nothing is kept. Returns whether it
+    /// completed.
+    fn complete_rest(
+        &mut self,
+        frontier: &mut Frontier<'_>,
+        round: usize,
+        parent: Option<NodeId>,
+        f: &mut [Option<VertexId>],
+        trie: &mut EmbeddingTrie,
+        oracle: &MachineOracle<'_>,
+    ) -> bool {
+        let sink = self.sink();
+        let rest = &self.rest[round];
+        let Some(done) = self.whole.expand_strict(rest, f, oracle, sink) else {
+            return false;
+        };
+        if !done.is_empty() {
+            let candidate = f[self.start].expect("the start vertex is matched");
+            *frontier.found.entry(candidate).or_default() += done.len() as u64;
+        }
+        if self.collect {
+            for i in 0..done.len() {
+                let mut embedding: Vec<VertexId> = f.iter().map(|v| v.unwrap_or(0)).collect();
+                for (&u, &v) in rest.leaves().iter().zip(done.leaves(i)) {
+                    embedding[u] = v;
+                }
+                frontier.collected.push(embedding);
+            }
+        }
+        if let Some(parent) = parent {
+            trie.remove(parent);
+        }
+        true
+    }
+
+    /// The unit path of [`expand_parent`](Self::expand_parent): expands the
+    /// round's unit in full, sends what waits for `verifyE` into the trie and
+    /// the EVI, and everything else on depth-first.
+    #[allow(clippy::too_many_arguments)]
+    fn expand_unit(
         &self,
         frontier: &mut Frontier<'_>,
         round: usize,
@@ -1106,6 +1323,7 @@ impl<'a> Descent<'a> {
         expanders: &mut [Expander],
         oracle: &mut MachineOracle<'_>,
     ) {
+        let candidate = f[self.start].expect("the start vertex is matched");
         let (head, deeper) = expanders.split_at_mut(round + 1);
         let extensions = head[round].expand(&self.units[round], f, &*oracle);
         let mut found = 0;
@@ -1117,7 +1335,6 @@ impl<'a> Descent<'a> {
                 waiting = true;
             }
         }
-        let candidate = f[self.start].expect("the start vertex is matched");
         if found > 0 {
             *frontier.found.entry(candidate).or_default() += found;
         }
@@ -1175,10 +1392,13 @@ impl<'a> Descent<'a> {
         oracle: &mut MachineOracle<'_>,
     ) -> u64 {
         let unit = &self.units[round];
-        let pivot = f[unit.pivot()].expect("the pivot is matched by the parent embedding");
+        let pivot = unit.pivot().expect("a unit has a pivot");
+        let pivot = f[pivot].expect("the pivot is matched by the parent embedding");
         let (expander, deeper) = expanders.split_first_mut().expect("one expander per round");
+        let last = round + 1 == self.units.len();
+        let sink = if last { self.sink() } else { Sink::Store };
         let extensions = if oracle.knows_pivot(pivot) {
-            expander.expand_strict(unit, f, &*oracle)
+            expander.expand_strict(unit, f, &*oracle, sink)
         } else {
             None
         };
@@ -1186,7 +1406,7 @@ impl<'a> Descent<'a> {
             frontier.deposit(round, f);
             return 0;
         };
-        if round + 1 == self.units.len() && !self.collect {
+        if last && !self.collect {
             return extensions.len() as u64;
         }
         (0..extensions.len())
@@ -1214,6 +1434,8 @@ struct Frontier<'a> {
     roots: HashMap<VertexId, NodeId>,
     /// Deposits ever made, shed ones included.
     deposited: u64,
+    /// Whole-rest attempts that gave up, shed candidates' included.
+    abandoned: u64,
 }
 
 impl<'a> Frontier<'a> {
@@ -1229,6 +1451,7 @@ impl<'a> Frontier<'a> {
             collected: Vec::new(),
             roots: HashMap::new(),
             deposited: 0,
+            abandoned: 0,
         }
     }
 
@@ -1723,4 +1946,37 @@ fn verify_and_filter(
         }
     }
     stats.candidates_filtered += evi.filter_failed(trie, &verdicts) as u64;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Runs `parents` parents through `gate`, each admitted attempt giving
+    /// up when `gives_up` says so; returns the attempts admitted.
+    fn admitted(gate: &mut AttemptGate, parents: u32, gives_up: bool) -> u32 {
+        let mut tried = 0;
+        for _ in 0..parents {
+            if gate.admits() {
+                tried += 1;
+                gate.record(gives_up);
+            }
+        }
+        tried
+    }
+
+    #[test]
+    fn the_attempt_gate_thins_out_attempts_while_most_give_up() {
+        let mut gate = AttemptGate::default();
+        // attempts that complete are always admitted
+        let parents = 30 * ATTEMPT_WINDOW;
+        assert_eq!(admitted(&mut gate, parents, false), parents);
+        // a window that mostly gives up makes the gate sparse
+        assert_eq!(admitted(&mut gate, ATTEMPT_WINDOW, true), ATTEMPT_WINDOW);
+        let parents = 100 * SPARSE_ATTEMPTS;
+        assert_eq!(admitted(&mut gate, parents, true), parents / SPARSE_ATTEMPTS);
+        // once a sparse window mostly completes, every parent tries again
+        admitted(&mut gate, ATTEMPT_WINDOW * SPARSE_ATTEMPTS, false);
+        assert_eq!(admitted(&mut gate, 500, false), 500);
+    }
 }

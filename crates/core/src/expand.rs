@@ -6,13 +6,20 @@
 //! that can be decided locally (owned or cached endpoint) and recording the
 //! rest as *undetermined edges* to be verified remotely in batch.
 //!
-//! Candidate generation is intersection-based: before scanning, the pivot's
-//! adjacency list is intersected ([`rads_graph::intersect`]) with the
-//! adjacency list of every back-edge endpoint whose adjacency is *locally
-//! known* (owned or cached), so candidates refuted by a known back edge are
-//! never materialized. Only the back edges whose endpoint adjacency is
-//! unknown fall back to per-candidate [`AdjacencyOracle::decide_edge`] probes
-//! and the undetermined-edge bookkeeping.
+//! Candidate generation is intersection-based: the adjacency lists of every
+//! back-edge endpoint whose adjacency is *locally known* (owned or cached) —
+//! the pivot's first — are intersected ([`rads_graph::intersect`]), so
+//! candidates refuted by a known back edge are never materialized. Only the
+//! back edges whose endpoint adjacency is unknown fall back to per-candidate
+//! [`AdjacencyOracle::decide_edge`] probes and the undetermined-edge
+//! bookkeeping.
+//!
+//! The same backtracker matches the *whole rest* of a pattern one query
+//! vertex at a time, in any connected order
+//! ([`UnitExpansion::from_order`]): a vertex's candidates are then the
+//! intersection of every matched neighbour's known list, with no pivot that
+//! must seed them. That is the engine's depth-first descent
+//! ([`Expander::expand_strict`] with a counting [`Sink`]).
 
 use rads_graph::intersect::{intersect_k_into, IntersectStats};
 use rads_graph::{Pattern, PatternVertex, SymmetryBreaking, VertexId};
@@ -35,18 +42,21 @@ pub trait AdjacencyOracle {
     }
 }
 
-/// Pre-computed, per-round expansion context shared by every embedding of the
-/// round.
+/// Pre-computed expansion context shared by every parent embedding it is
+/// applied to: which query vertices to match, in which order, and against
+/// which already-matched vertices. Either one decomposition unit of a plan
+/// ([`new`](Self::new)) or the rest of the pattern in a given order
+/// ([`from_order`](Self::from_order)).
 pub struct UnitExpansion<'a> {
     pattern: &'a Pattern,
     symmetry: &'a SymmetryBreaking,
-    /// The pivot of the current unit.
-    pivot: PatternVertex,
-    /// The unit's leaves in matching order.
+    /// The pivot of a unit; `None` for a context built from an order.
+    pivot: Option<PatternVertex>,
+    /// The vertices to match, in matching order.
     leaves: Vec<PatternVertex>,
-    /// For each leaf (by index into `leaves`): the already-matched endpoints
-    /// of its verification edges (every pattern neighbour that is matched
-    /// earlier and is not the pivot).
+    /// For each leaf (by index into `leaves`): the endpoints of its back
+    /// edges, i.e. every pattern neighbour that is matched before it — the
+    /// pivot first, when there is one.
     back_edges: Vec<Vec<PatternVertex>>,
 }
 
@@ -73,26 +83,67 @@ impl<'a> UnitExpansion<'a> {
         let back_edges = leaves
             .iter()
             .map(|&u| {
-                pattern
+                let earlier = pattern
                     .neighbors(u)
                     .iter()
                     .copied()
-                    .filter(|&w| w != unit.pivot && position[w] < position[u])
-                    .collect()
+                    .filter(|&w| w != unit.pivot && position[w] < position[u]);
+                std::iter::once(unit.pivot).chain(earlier).collect()
             })
             .collect();
-        UnitExpansion { pattern, symmetry, pivot: unit.pivot, leaves, back_edges }
+        UnitExpansion { pattern, symmetry, pivot: Some(unit.pivot), leaves, back_edges }
     }
 
-    /// The pivot query vertex of this unit.
-    pub fn pivot(&self) -> PatternVertex {
+    /// Matches `rest` one vertex at a time, in that order, below a parent
+    /// that matches every other vertex of the pattern. Each vertex's back
+    /// edges are all its neighbours outside `rest` and those before it in
+    /// `rest`; there is no pivot.
+    ///
+    /// # Panics
+    ///
+    /// If a vertex of `rest` has no back edge (the parent plus the order
+    /// must be connected, or its candidates would be a Cartesian product).
+    pub fn from_order(
+        pattern: &'a Pattern,
+        symmetry: &'a SymmetryBreaking,
+        rest: Vec<PatternVertex>,
+    ) -> Self {
+        let back_edges: Vec<Vec<PatternVertex>> = rest
+            .iter()
+            .enumerate()
+            .map(|(i, &u)| {
+                let back: Vec<PatternVertex> = pattern
+                    .neighbors(u)
+                    .iter()
+                    .copied()
+                    .filter(|w| !rest[i..].contains(w))
+                    .collect();
+                assert!(!back.is_empty(), "query vertex {u} has no matched neighbour");
+                back
+            })
+            .collect();
+        UnitExpansion { pattern, symmetry, pivot: None, leaves: rest, back_edges }
+    }
+
+    /// The pivot query vertex of a unit (`None` for a context built from an
+    /// order).
+    pub fn pivot(&self) -> Option<PatternVertex> {
         self.pivot
     }
 
-    /// The unit's leaves in matching order.
+    /// The vertices this context matches, in matching order.
     pub fn leaves(&self) -> &[PatternVertex] {
         &self.leaves
     }
+}
+
+/// What an expansion keeps of the extensions it finds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Sink {
+    /// Every extension, in the [`ExtensionBuffer`].
+    Store,
+    /// Only their number: the buffer stores nothing.
+    Count,
 }
 
 /// One embedding candidate produced by expanding a single parent embedding:
@@ -118,6 +169,10 @@ pub struct CandidateExtension {
 #[derive(Debug, Default)]
 pub struct ExtensionBuffer {
     leaf_count: usize,
+    /// `false` for a [`Sink::Count`] expansion: extensions are counted only.
+    store: bool,
+    /// Extensions found (stored or not).
+    len: usize,
     leaves: Vec<VertexId>,
     /// Per-extension `(start, end)` range into `pool`.
     undetermined_ranges: Vec<(usize, usize)>,
@@ -130,26 +185,30 @@ impl ExtensionBuffer {
         Self::default()
     }
 
-    /// Clears the buffer and fixes the per-extension leaf count.
-    fn reset(&mut self, leaf_count: usize) {
+    /// Clears the buffer and fixes the per-extension leaf count and whether
+    /// extensions are stored.
+    fn reset(&mut self, leaf_count: usize, sink: Sink) {
         self.leaf_count = leaf_count;
+        self.store = sink == Sink::Store;
+        self.len = 0;
         self.leaves.clear();
         self.undetermined_ranges.clear();
         self.pool.clear();
     }
 
-    /// Number of extensions currently stored.
+    /// Number of extensions found — stored ones, or under [`Sink::Count`]
+    /// all that were counted.
     pub fn len(&self) -> usize {
-        self.undetermined_ranges.len()
+        self.len
     }
 
-    /// `true` when no extension is stored.
+    /// `true` when no extension was found.
     pub fn is_empty(&self) -> bool {
-        self.undetermined_ranges.is_empty()
+        self.len == 0
     }
 
     /// The leaf assignment of extension `i`, aligned with
-    /// [`UnitExpansion::leaves`].
+    /// [`UnitExpansion::leaves`] (stored extensions only).
     pub fn leaves(&self, i: usize) -> &[VertexId] {
         &self.leaves[i * self.leaf_count..(i + 1) * self.leaf_count]
     }
@@ -161,9 +220,13 @@ impl ExtensionBuffer {
     }
 
     /// Appends one complete extension (copies the current backtracking
-    /// stacks into the flat storage).
+    /// stacks into the flat storage), or only counts it.
     fn push(&mut self, leaves: &[VertexId], undetermined: &[(VertexId, VertexId)]) {
         debug_assert_eq!(leaves.len(), self.leaf_count);
+        self.len += 1;
+        if !self.store {
+            return;
+        }
         self.leaves.extend_from_slice(leaves);
         let start = self.pool.len();
         self.pool.extend_from_slice(undetermined);
@@ -183,7 +246,7 @@ impl ExtensionBuffer {
     /// Copies the buffer out into owned [`CandidateExtension`]s (tests and
     /// one-shot callers).
     pub fn to_extensions(&self) -> Vec<CandidateExtension> {
-        (0..self.len())
+        (0..self.undetermined_ranges.len())
             .map(|i| CandidateExtension {
                 leaves: self.leaves(i).to_vec(),
                 undetermined: self.undetermined(i).to_vec(),
@@ -253,59 +316,55 @@ impl Expander {
         f: &mut [Option<VertexId>],
         oracle: &O,
     ) -> &ExtensionBuffer {
-        self.run::<false, O>(ctx, f, oracle);
+        self.run::<false, O>(ctx, f, oracle, Sink::Store);
         &self.out
     }
 
     /// [`expand`](Self::expand) for a caller that can only use embeddings:
-    /// gives up at the first edge the oracle cannot decide and returns
-    /// `None`, with the output empty and `f` restored. When it returns a
-    /// buffer, that buffer is exactly what `expand` would have produced,
-    /// and no extension in it has an undetermined edge.
+    /// gives up at the first edge the oracle cannot decide, and at the first
+    /// vertex none of whose matched neighbours has a known adjacency list,
+    /// and returns `None`, with the output empty and `f` restored. When it
+    /// returns a buffer, that buffer holds (or, under [`Sink::Count`],
+    /// counts) exactly what `expand` would have produced, and no extension
+    /// in it has an undetermined edge.
     pub fn expand_strict<O: AdjacencyOracle + ?Sized>(
         &mut self,
         ctx: &UnitExpansion<'_>,
         f: &mut [Option<VertexId>],
         oracle: &O,
+        sink: Sink,
     ) -> Option<&ExtensionBuffer> {
-        if self.run::<true, O>(ctx, f, oracle) {
+        if self.run::<true, O>(ctx, f, oracle, sink) {
             Some(&self.out)
         } else {
-            self.out.reset(ctx.leaves.len());
+            self.out.reset(ctx.leaves.len(), sink);
             None
         }
     }
 
-    /// Fills `out` with the extensions of `f`; `false` when `STRICT` and an
-    /// undetermined edge cut the enumeration short.
+    /// Fills `out` with the extensions of `f`; `false` when `STRICT` and the
+    /// enumeration was cut short.
     fn run<const STRICT: bool, O: AdjacencyOracle + ?Sized>(
         &mut self,
         ctx: &UnitExpansion<'_>,
         f: &mut [Option<VertexId>],
         oracle: &O,
+        sink: Sink,
     ) -> bool {
-        self.out.reset(ctx.leaves.len());
+        self.out.reset(ctx.leaves.len(), sink);
         if self.bufs.len() < ctx.leaves.len() {
             self.bufs.resize_with(ctx.leaves.len(), Vec::new);
             self.probes.resize_with(ctx.leaves.len(), Vec::new);
         }
         self.leaves_assigned.clear();
         self.undetermined.clear();
-        let pivot_data =
-            f[ctx.pivot].expect("the unit pivot must be matched by the parent embedding");
-        let Some(pivot_adj) = oracle.adjacency(pivot_data) else {
-            // The engine fetches the pivot's adjacency before expanding;
-            // reaching this branch means the vertex has no adjacency at all.
-            return true;
-        };
-        self.backtrack::<STRICT, O>(ctx, 0, pivot_adj, f, oracle)
+        self.backtrack::<STRICT, O>(ctx, 0, f, oracle)
     }
 
     fn backtrack<const STRICT: bool, O: AdjacencyOracle + ?Sized>(
         &mut self,
         ctx: &UnitExpansion<'_>,
         idx: usize,
-        pivot_adj: &[VertexId],
         f: &mut [Option<VertexId>],
         oracle: &O,
     ) -> bool {
@@ -325,9 +384,8 @@ impl Expander {
         probe.clear();
         for &u2 in &ctx.back_edges[idx] {
             let v2 = f[u2].expect("back-edge endpoint is matched");
-            // reserve the last slot of `known` for the pivot adjacency
             match oracle.adjacency(v2) {
-                Some(adj) if known_len < KNOWN_LISTS_CAP - 1 => {
+                Some(adj) if known_len < KNOWN_LISTS_CAP => {
                     known[known_len] = adj;
                     known_len += 1;
                 }
@@ -336,17 +394,24 @@ impl Expander {
         }
 
         let mut buf = std::mem::take(&mut self.bufs[idx]);
-        let candidates: &[VertexId] = if known_len == 0 {
-            pivot_adj
-        } else {
-            known[known_len] = pivot_adj;
-            intersect_k_into(
-                &mut known[..known_len + 1],
-                &mut buf,
-                &mut self.tmp,
-                &mut self.intersect_stats,
-            );
-            &buf
+        let candidates: &[VertexId] = match known_len {
+            // A unit's pivot is always known to the engine (it fetches it
+            // first); without any list there is nothing to scan.
+            0 => {
+                self.probes[idx] = probe;
+                self.bufs[idx] = buf;
+                return !STRICT;
+            }
+            1 => known[0],
+            _ => {
+                intersect_k_into(
+                    &mut known[..known_len],
+                    &mut buf,
+                    &mut self.tmp,
+                    &mut self.intersect_stats,
+                );
+                &buf
+            }
         };
 
         let mut complete = true;
@@ -381,7 +446,7 @@ impl Expander {
             }
             f[u] = Some(v);
             self.leaves_assigned.push(v);
-            complete = self.backtrack::<STRICT, O>(ctx, idx + 1, pivot_adj, f, oracle);
+            complete = self.backtrack::<STRICT, O>(ctx, idx + 1, f, oracle);
             self.leaves_assigned.pop();
             f[u] = None;
             self.undetermined.truncate(undetermined_before);
@@ -446,7 +511,7 @@ mod tests {
         let symmetry = SymmetryBreaking::new(&pattern);
         let ctx = UnitExpansion::new(&pattern, &plan, &symmetry, 0);
         let mut f = vec![None; 3];
-        f[ctx.pivot()] = Some(2); // start from the hub vertex 2
+        f[ctx.pivot().unwrap()] = Some(2); // start from the hub vertex 2
         let extensions = expand_embedding(&ctx, &mut f, &oracle);
         // exactly one triangle through vertex 2 (symmetry breaking keeps one
         // of the two leaf orders)
@@ -472,7 +537,7 @@ mod tests {
         let symmetry = SymmetryBreaking::disabled(&pattern);
         let ctx = UnitExpansion::new(&pattern, &plan, &symmetry, 0);
         let mut f = vec![None; 3];
-        f[ctx.pivot()] = Some(0);
+        f[ctx.pivot().unwrap()] = Some(0);
         let extensions = expand_embedding(&ctx, &mut f, &oracle);
         assert_eq!(extensions.len(), 2);
         for ext in &extensions {
@@ -492,7 +557,7 @@ mod tests {
         let symmetry = SymmetryBreaking::new(&pattern);
         let ctx = UnitExpansion::new(&pattern, &plan, &symmetry, 0);
         let mut f = vec![None; 3];
-        f[ctx.pivot()] = Some(0);
+        f[ctx.pivot().unwrap()] = Some(0);
         let extensions = expand_embedding(&ctx, &mut f, &oracle);
         assert!(extensions.is_empty());
     }
@@ -566,10 +631,10 @@ mod tests {
                 continue;
             }
             let mut f = vec![None; pattern.vertex_count()];
-            f[ctx.pivot()] = Some(start_data);
+            f[ctx.pivot().unwrap()] = Some(start_data);
             let reused = expander.expand(&ctx, &mut f, &oracle).to_extensions();
             let mut f2 = vec![None; pattern.vertex_count()];
-            f2[ctx.pivot()] = Some(start_data);
+            f2[ctx.pivot().unwrap()] = Some(start_data);
             let one_shot = expand_embedding(&ctx, &mut f2, &oracle);
             assert_eq!(reused, one_shot, "pivot {start_data}");
             // scratch restored
@@ -585,7 +650,7 @@ mod tests {
         let tri_edges = [(0, 1), (1, 2), (2, 0), (2, 3)];
         let tri_oracle = MapOracle::from_edges(&[0, 1, 2, 3], &tri_edges);
         let mut f = vec![None; 3];
-        f[tri_ctx.pivot()] = Some(2);
+        f[tri_ctx.pivot().unwrap()] = Some(2);
         let exts = expander.expand(&tri_ctx, &mut f, &tri_oracle).to_extensions();
         assert_eq!(exts.len(), 2); // both leaf orders of the one triangle
         assert!(expander.intersect_stats().kernel_calls > 0);
@@ -623,7 +688,7 @@ mod tests {
         let symmetry = SymmetryBreaking::disabled(&pattern);
         let ctx = UnitExpansion::new(&pattern, &plan, &symmetry, 0);
         let mut f = vec![None; 3];
-        f[ctx.pivot()] = Some(0);
+        f[ctx.pivot().unwrap()] = Some(0);
         let before = f.clone();
         let mut expander = Expander::new();
 
@@ -631,7 +696,7 @@ mod tests {
         assert_eq!(oracle.decisions.get(), 20, "one decision per ordered leaf pair");
         oracle.decisions.set(0);
 
-        assert!(expander.expand_strict(&ctx, &mut f, &oracle).is_none());
+        assert!(expander.expand_strict(&ctx, &mut f, &oracle, Sink::Store).is_none());
         assert_eq!(oracle.decisions.get(), 1, "strict expansion went past the first unknown");
         assert_eq!(f, before, "f not restored after the abort");
         assert_eq!(expander.memory_bytes(), 0, "an aborted expansion keeps no output");
@@ -652,7 +717,7 @@ mod tests {
         let expected = expanders.0.expand(&units[round], f, oracle).to_extensions();
         let strict = expanders
             .1
-            .expand_strict(&units[round], f, oracle)
+            .expand_strict(&units[round], f, oracle, Sink::Store)
             .expect("nothing is undetermined when every vertex is known")
             .to_extensions();
         assert_eq!(strict, expected, "round {round}, parent {before:?}");
@@ -696,12 +761,163 @@ mod tests {
         }
     }
 
+    /// Every complete embedding below the parent in `f` at `round`, found
+    /// unit by unit with full expansions.
+    fn complete_by_units(
+        units: &[UnitExpansion<'_>],
+        round: usize,
+        f: &mut [Option<VertexId>],
+        oracle: &MapOracle,
+        out: &mut Vec<Vec<VertexId>>,
+    ) {
+        let extensions = Expander::new().expand(&units[round], f, oracle).to_extensions();
+        for extension in extensions {
+            for (&u, &v) in units[round].leaves().iter().zip(&extension.leaves) {
+                f[u] = Some(v);
+            }
+            if round + 1 == units.len() {
+                out.push(f.iter().map(|v| v.expect("complete")).collect());
+            } else {
+                complete_by_units(units, round + 1, f, oracle, out);
+            }
+            for &u in units[round].leaves() {
+                f[u] = None;
+            }
+        }
+    }
+
+    /// Matches the rest of the pattern below the parent in `f` at `round`
+    /// one vertex at a time in `order`, checks it against unit-by-unit
+    /// expansion (stored and counted), then recurses into every parent of
+    /// the next round. Returns the parents checked.
+    fn check_whole_rest(
+        plan: &ExecutionPlan,
+        units: &[UnitExpansion<'_>],
+        order: &[PatternVertex],
+        round: usize,
+        f: &mut [Option<VertexId>],
+        oracle: &MapOracle,
+        whole: &mut Expander,
+    ) -> usize {
+        let pattern = plan.pattern();
+        let symmetry = SymmetryBreaking::new(pattern);
+        let rest: Vec<PatternVertex> = order.iter().copied().filter(|&u| f[u].is_none()).collect();
+        let ctx = UnitExpansion::from_order(pattern, &symmetry, rest);
+        let before = f.to_vec();
+        let mut expected = Vec::new();
+        complete_by_units(units, round, f, oracle, &mut expected);
+        expected.sort();
+        let stored = whole
+            .expand_strict(&ctx, f, oracle, Sink::Store)
+            .expect("nothing is unknown on a fully known graph")
+            .to_extensions();
+        assert_eq!(f, &before[..], "f not restored");
+        let mut found: Vec<Vec<VertexId>> = stored
+            .iter()
+            .map(|extension| {
+                assert!(extension.undetermined.is_empty());
+                let mut embedding = f.to_vec();
+                for (&u, &v) in ctx.leaves().iter().zip(&extension.leaves) {
+                    embedding[u] = Some(v);
+                }
+                embedding.iter().map(|v| v.expect("complete")).collect()
+            })
+            .collect();
+        found.sort();
+        assert_eq!(found, expected, "{pattern:?}, order {order:?}, parent {before:?}");
+        let counted = whole.expand_strict(&ctx, f, oracle, Sink::Count).expect("known").len();
+        assert_eq!(counted, expected.len());
+        assert_eq!(whole.memory_bytes(), 0, "a counting sink stores nothing");
+        let mut checked = 1;
+        if round + 1 < units.len() {
+            let extensions = Expander::new().expand(&units[round], f, oracle).to_extensions();
+            for extension in extensions {
+                for (&u, &v) in units[round].leaves().iter().zip(&extension.leaves) {
+                    f[u] = Some(v);
+                }
+                checked += check_whole_rest(plan, units, order, round + 1, f, oracle, whole);
+                for &u in units[round].leaves() {
+                    f[u] = None;
+                }
+            }
+        }
+        checked
+    }
+
+    #[test]
+    fn whole_rest_matching_equals_unit_by_unit_expansion_in_both_orders() {
+        let edges: Vec<(VertexId, VertexId)> = (0..16u32)
+            .flat_map(|i| [1, 2, 3, 5].map(|step| (i, (i + step) % 16)))
+            .collect();
+        let all: Vec<VertexId> = (0..16).collect();
+        let oracle = MapOracle::from_edges(&all, &edges);
+        let mut whole = Expander::new();
+        let mut patterns = queries::standard_query_set();
+        patterns.extend(queries::clique_query_set());
+        for query in patterns {
+            let pattern = &query.pattern;
+            let plan = best_plan(pattern, &PlannerConfig::default());
+            let symmetry = SymmetryBreaking::new(pattern);
+            let units: Vec<UnitExpansion<'_>> = (0..plan.rounds())
+                .map(|round| UnitExpansion::new(pattern, &plan, &symmetry, round))
+                .collect();
+            let greedy = rads_single::MatchingOrder::greedy_from(pattern, plan.start_vertex());
+            for order in [plan.matching_order(), greedy.order()] {
+                let mut checked = 0;
+                for start in all.iter().copied() {
+                    let mut f = vec![None; pattern.vertex_count()];
+                    f[plan.start_vertex()] = Some(start);
+                    checked += check_whole_rest(&plan, &units, order, 0, &mut f, &oracle, &mut whole);
+                }
+                assert!(
+                    plan.rounds() == 1 || checked > all.len(),
+                    "{}: no parent beyond round 0 was checked",
+                    query.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn whole_rest_matching_gives_up_at_the_first_unknown_adjacency() {
+        // a 6-clique seen from vertex 0 alone: after the start vertex, every
+        // vertex has a known neighbour (0) but one unknown back edge
+        let edges: Vec<(VertexId, VertexId)> =
+            (0..6).flat_map(|a| (a + 1..6).map(move |b| (a, b))).collect();
+        let oracle = CountingOracle {
+            inner: MapOracle::from_edges(&[0], &edges),
+            decisions: std::cell::Cell::new(0),
+        };
+        let pattern = queries::c1();
+        let symmetry = SymmetryBreaking::disabled(&pattern);
+        let ctx = UnitExpansion::from_order(&pattern, &symmetry, vec![1, 2, 3]);
+        let mut f = vec![Some(0), None, None, None];
+        let before = f.clone();
+        let mut expander = Expander::new();
+        for sink in [Sink::Store, Sink::Count] {
+            oracle.decisions.set(0);
+            assert!(expander.expand_strict(&ctx, &mut f, &oracle, sink).is_none());
+            assert_eq!(oracle.decisions.get(), 1, "went past the first unknown edge");
+            assert_eq!(f, before, "f not restored after the abort");
+            assert_eq!(expander.memory_bytes(), 0, "an abandoned attempt keeps no output");
+        }
+
+        // matched from vertex 1 instead: vertex 1's own list is unknown, so
+        // the first vertex to match has no known matched-neighbour list at
+        // all and the attempt is abandoned before any decision
+        let mut f = vec![Some(1), None, None, None];
+        oracle.decisions.set(0);
+        assert!(expander.expand_strict(&ctx, &mut f, &oracle, Sink::Count).is_none());
+        assert_eq!(oracle.decisions.get(), 0);
+        assert_eq!(f, vec![Some(1), None, None, None]);
+    }
+
     /// The flat buffer addresses extensions correctly (leaf chunks and
     /// undetermined ranges).
     #[test]
     fn extension_buffer_layout() {
         let mut buf = ExtensionBuffer::new();
-        buf.reset(2);
+        buf.reset(2, Sink::Store);
         buf.push(&[10, 11], &[(1, 2)]);
         buf.push(&[10, 12], &[]);
         buf.push(&[13, 14], &[(3, 4), (5, 6)]);
@@ -716,7 +932,7 @@ mod tests {
             + 3 * std::mem::size_of::<(usize, usize)>()
             + 3 * std::mem::size_of::<(VertexId, VertexId)>();
         assert_eq!(buf.memory_bytes(), expected_bytes);
-        buf.reset(1);
+        buf.reset(1, Sink::Store);
         assert!(buf.is_empty());
         // live bytes drop on reset even though capacity is retained
         assert_eq!(buf.memory_bytes(), 0);

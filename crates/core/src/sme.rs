@@ -13,11 +13,10 @@
 //! Per-unit embeddings and statistics are merged back **in unit order**, so
 //! the outcome is bit-identical for every worker count.
 
-use std::collections::HashMap;
 use std::ops::Range;
 
 use rads_exec::{parallel_map, ExecConfig};
-use rads_graph::{Graph, GraphBuilder, Pattern, VertexId};
+use rads_graph::{Pattern, VertexId};
 use rads_partition::LocalPartition;
 use rads_plan::ExecutionPlan;
 use rads_single::{EnumerationStats, Enumerator, MatchingOrder, SharedRun};
@@ -27,7 +26,8 @@ use crate::memory::SpaceEstimator;
 /// Outcome of the SM-E phase on one machine.
 #[derive(Debug, Clone)]
 pub struct SmeResult {
-    /// Embeddings found locally, indexed by query vertex (global data ids).
+    /// Embeddings found locally, indexed by query vertex (global data ids) —
+    /// only when collected; a counting run leaves this empty.
     pub embeddings: Vec<Vec<VertexId>>,
     /// Number of embeddings found locally.
     pub count: u64,
@@ -42,44 +42,8 @@ pub struct SmeResult {
     pub trie_nodes: u64,
 }
 
-/// The induced subgraph over the machine's owned vertices, plus the dense ↔
-/// global id mappings. Exposed so tests and the engine can reuse it.
-pub struct OwnedSubgraph {
-    /// The induced subgraph with densely relabelled vertices.
-    pub graph: Graph,
-    /// Dense id → global id.
-    pub global_of_dense: Vec<VertexId>,
-    /// Global id → dense id.
-    pub dense_of_global: HashMap<VertexId, VertexId>,
-}
-
-/// Builds the induced subgraph of the owned vertices of `local`.
-pub fn owned_subgraph(local: &LocalPartition) -> OwnedSubgraph {
-    let owned = local.owned_vertices();
-    let mut dense_of_global = HashMap::with_capacity(owned.len());
-    for (i, &v) in owned.iter().enumerate() {
-        dense_of_global.insert(v, i as VertexId);
-    }
-    let mut builder = GraphBuilder::new(owned.len());
-    for &v in owned {
-        let dv = dense_of_global[&v];
-        for &w in local.neighbors(v).expect("owned vertex") {
-            if let Some(&dw) = dense_of_global.get(&w) {
-                if dv < dw {
-                    builder.add_edge(dv, dw);
-                }
-            }
-        }
-    }
-    OwnedSubgraph { graph: builder.build(), global_of_dense: owned.to_vec(), dense_of_global }
-}
-
-/// Runs SM-E on one machine, fanning the start candidates out to
-/// `exec.workers` pool workers.
-///
-/// * `enabled = false` (ablation) sends every start candidate to the
-///   distributed phase and derives the space estimator from a degree-based
-///   fallback instead.
+/// Runs SM-E on one machine in the single enumerator's greedy order from
+/// the plan's start vertex, counting only; see [`run_sme_in_order`].
 pub fn run_sme(
     local: &LocalPartition,
     pattern: &Pattern,
@@ -87,7 +51,28 @@ pub fn run_sme(
     enabled: bool,
     exec: &ExecConfig,
 ) -> SmeResult {
-    let start = plan.start_vertex();
+    let order = MatchingOrder::greedy_from(pattern, plan.start_vertex());
+    run_sme_in_order(local, pattern, &order, enabled, false, exec)
+}
+
+/// Runs SM-E on one machine in `order` (which starts at the plan's start
+/// vertex), fanning the start candidates out to `exec.workers` pool
+/// workers. It enumerates on the partition's owned induced subgraph
+/// ([`LocalPartition::owned_graph`]) and keeps the embeddings themselves
+/// only when `collect` is set.
+///
+/// * `enabled = false` (ablation) sends every start candidate to the
+///   distributed phase and derives the space estimator from a degree-based
+///   fallback instead.
+pub fn run_sme_in_order(
+    local: &LocalPartition,
+    pattern: &Pattern,
+    order: &MatchingOrder,
+    enabled: bool,
+    collect: bool,
+    exec: &ExecConfig,
+) -> SmeResult {
+    let start = order.start_vertex();
     let span = pattern.span(start) as u32;
     let min_degree = pattern.degree(start);
     // C(u_start): owned vertices passing the degree filter.
@@ -121,15 +106,14 @@ pub fn run_sme(
         };
     }
 
-    let sub = owned_subgraph(local);
-    let dense_candidates: Vec<VertexId> =
-        local_cands.iter().map(|v| sub.dense_of_global[v]).collect();
+    let global_of_dense = local.owned_vertices();
+    let dense_candidates = dense_ids(local, &local_cands);
     // Matching order, symmetry constraints and filter thresholds are derived
     // once per machine run and shared (borrowed) by every work unit — a unit
     // is only `steal_granularity` start candidates, far too small to amortize
     // re-deriving them.
-    let shared = SharedRun::new(pattern, MatchingOrder::greedy_from(pattern, start), false);
-    let enumerator = Enumerator::new(&sub.graph, pattern);
+    let shared = SharedRun::new(pattern, order.clone(), false);
+    let enumerator = Enumerator::new(local.owned_graph(), pattern);
 
     // One work unit per `steal_granularity` start candidates; each unit runs
     // the enumerator over its own sub-range of the shared (borrowed, never
@@ -145,8 +129,10 @@ pub fn run_sme(
         let mut embeddings: Vec<Vec<VertexId>> = Vec::new();
         let stats =
             enumerator.run_units(&shared, &dense_candidates, Some(range.clone()), |mapping| {
-                embeddings
-                    .push(mapping.iter().map(|&dv| sub.global_of_dense[dv as usize]).collect());
+                if collect {
+                    embeddings
+                        .push(mapping.iter().map(|&dv| global_of_dense[dv as usize]).collect());
+                }
                 true
             });
         (embeddings, stats)
@@ -161,7 +147,7 @@ pub fn run_sme(
     }
 
     SmeResult {
-        count: embeddings.len() as u64,
+        count: stats.embeddings,
         embeddings,
         local_candidates: local_cands.len(),
         remaining_candidates: remote_cands,
@@ -170,11 +156,54 @@ pub fn run_sme(
     }
 }
 
+/// Start candidates each order enumerates when [`choose_descent_order`]
+/// compares them: an evenly spaced sample of the machine's owned
+/// candidates.
+const ORDER_SAMPLE: usize = 128;
+
+/// Measures which of two orders matches `pattern` more cheaply on this
+/// machine: the plan's Definition-10 order or the single enumerator's
+/// greedy order from the plan's start vertex. Both run the single
+/// enumerator over the same deterministic sample of owned start candidates
+/// on the owned induced subgraph; the one that visits fewer search nodes
+/// wins, the plan's on a tie.
+pub fn choose_descent_order(
+    local: &LocalPartition,
+    pattern: &Pattern,
+    plan: &ExecutionPlan,
+) -> MatchingOrder {
+    let start = plan.start_vertex();
+    let plan_order = MatchingOrder::from_order(pattern, plan.matching_order().to_vec());
+    let greedy = MatchingOrder::greedy_from(pattern, start);
+    if greedy == plan_order {
+        return plan_order;
+    }
+    let candidates = local.candidates_with_min_degree(pattern.degree(start));
+    let stride = candidates.len().div_ceil(ORDER_SAMPLE).max(1);
+    let sample: Vec<VertexId> = candidates.into_iter().step_by(stride).collect();
+    let sample = dense_ids(local, &sample);
+    let enumerator = Enumerator::new(local.owned_graph(), pattern);
+    let nodes = |order: &MatchingOrder| {
+        let shared = SharedRun::new(pattern, order.clone(), false);
+        enumerator.run_units(&shared, &sample, None, |_| true).total_nodes()
+    };
+    if nodes(&greedy) < nodes(&plan_order) {
+        greedy
+    } else {
+        plan_order
+    }
+}
+
+/// The dense ids ([`LocalPartition::dense_id`]) of owned vertices.
+fn dense_ids(local: &LocalPartition, owned: &[VertexId]) -> Vec<VertexId> {
+    owned.iter().map(|&v| local.dense_id(v).expect("an owned vertex")).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rads_graph::generators::{community_graph, grid_2d};
-    use rads_graph::queries;
+    use rads_graph::{queries, Pattern};
     use rads_partition::{BfsPartitioner, PartitionedGraph, Partitioner, Partitioning};
     use rads_plan::{best_plan, PlannerConfig};
     use rads_single::count_embeddings;
@@ -198,9 +227,12 @@ mod tests {
         let pg = PartitionedGraph::build(&g, partitioning);
         let pattern = queries::q1();
         let plan = best_plan(&pattern, &PlannerConfig::default());
+        let order = MatchingOrder::greedy_from(&pattern, plan.start_vertex());
         for m in 0..4 {
             let local = pg.local(m);
-            let result = run_sme(local, &pattern, &plan, true, &ExecConfig::sequential());
+            let result =
+                run_sme_in_order(local, &pattern, &order, true, true, &ExecConfig::sequential());
+            assert_eq!(result.embeddings.len() as u64, result.count);
             for emb in &result.embeddings {
                 for &v in emb {
                     assert!(local.owns(v), "SM-E produced a foreign vertex {v} on machine {m}");
@@ -237,12 +269,15 @@ mod tests {
         let pg = PartitionedGraph::build(&g, partitioning);
         let pattern = queries::q1();
         let plan = best_plan(&pattern, &PlannerConfig::default());
+        let order = MatchingOrder::greedy_from(&pattern, plan.start_vertex());
         for m in 0..2 {
             let local = pg.local(m);
-            let sequential = run_sme(local, &pattern, &plan, true, &ExecConfig::sequential());
+            let sequential =
+                run_sme_in_order(local, &pattern, &order, true, true, &ExecConfig::sequential());
+            assert_eq!(sequential.embeddings.len() as u64, sequential.count);
             for workers in [2, 4, 8] {
                 let exec = ExecConfig { workers, steal_granularity: 3 };
-                let parallel = run_sme(local, &pattern, &plan, true, &exec);
+                let parallel = run_sme_in_order(local, &pattern, &order, true, true, &exec);
                 assert_eq!(parallel.embeddings, sequential.embeddings, "machine {m}");
                 assert_eq!(parallel.count, sequential.count);
                 assert_eq!(parallel.trie_nodes, sequential.trie_nodes);
@@ -270,16 +305,52 @@ mod tests {
         let partitioning = BfsPartitioner.partition(&g, 2);
         let pg = PartitionedGraph::build(&g, partitioning);
         let local = pg.local(1);
-        let sub = owned_subgraph(local);
-        assert_eq!(sub.graph.vertex_count(), local.owned_count());
-        for (dense, &global) in sub.global_of_dense.iter().enumerate() {
-            assert_eq!(sub.dense_of_global[&global], dense as VertexId);
-            assert!(local.owns(global));
+        let sub = local.owned_graph();
+        assert_eq!(sub.vertex_count(), local.owned_count());
+        let global_of_dense = local.owned_vertices();
+        for (dense, &global) in global_of_dense.iter().enumerate() {
+            assert_eq!(local.dense_id(global), Some(dense as VertexId));
         }
-        // every edge of the subgraph is an edge of the original graph
-        for (a, b) in sub.graph.edges() {
-            let (ga, gb) = (sub.global_of_dense[a as usize], sub.global_of_dense[b as usize]);
+        // dense ids keep the order of global ids
+        assert!(global_of_dense.windows(2).all(|w| w[0] < w[1]));
+        // every edge of the subgraph is an edge of the original graph, and
+        // every edge between two owned vertices is in the subgraph
+        for (a, b) in sub.edges() {
+            let (ga, gb) = (global_of_dense[a as usize], global_of_dense[b as usize]);
             assert!(g.has_edge(ga, gb));
+        }
+        let owned_edges = g.edges().filter(|&(a, b)| local.owns(a) && local.owns(b)).count();
+        assert_eq!(sub.edge_count(), owned_edges);
+        assert!(std::ptr::eq(sub, local.owned_graph()), "built once per partition");
+    }
+
+    #[test]
+    fn the_cheaper_order_is_chosen_and_the_plan_order_wins_ties() {
+        let g = community_graph(3, 20, 0.4, 0.05, 11);
+        let pg = PartitionedGraph::build(&g, BfsPartitioner.partition(&g, 2));
+        let local = pg.local(0);
+        let graph = local.owned_graph();
+        let all = |pattern: &Pattern, order: &MatchingOrder| {
+            let shared = SharedRun::new(pattern, order.clone(), false);
+            let candidates: Vec<VertexId> = graph.vertices().collect();
+            Enumerator::new(graph, pattern).run_units(&shared, &candidates, None, |_| true)
+        };
+        let mut patterns = queries::standard_query_set();
+        patterns.extend(queries::clique_query_set());
+        for query in patterns {
+            let pattern = &query.pattern;
+            let plan = best_plan(pattern, &PlannerConfig::default());
+            let chosen = choose_descent_order(local, pattern, &plan);
+            let plan_order = MatchingOrder::from_order(pattern, plan.matching_order().to_vec());
+            let greedy = MatchingOrder::greedy_from(pattern, plan.start_vertex());
+            assert!(chosen == plan_order || chosen == greedy, "{}", query.name);
+            // the partition is small enough that the sample is all of it
+            let (plan_nodes, greedy_nodes) =
+                (all(pattern, &plan_order).total_nodes(), all(pattern, &greedy).total_nodes());
+            let expected = if greedy_nodes < plan_nodes { &greedy } else { &plan_order };
+            assert_eq!(&chosen, expected, "{}: {plan_nodes} vs {greedy_nodes}", query.name);
+            // either order finds the same embeddings
+            assert_eq!(all(pattern, &plan_order).embeddings, all(pattern, &greedy).embeddings);
         }
     }
 }

@@ -23,10 +23,28 @@
 //! them, and the owner's partition is immutable while the cluster is up, so
 //! a cached list never goes stale and there is nothing to invalidate. A
 //! cache whose drain unwinds is simply never checked back in.
+//!
+//! **Descent orders.** The store also keeps what the machine measured on
+//! its own partition for each pattern it has run: the order its SM-E and
+//! depth-first descent match in ([`ForeignStore::descent_order`]). Unlike a
+//! plan, which is a function of the pattern alone, that choice is derived
+//! from the data, and stays valid for exactly as long as the store does:
+//! while the partition is resident.
+
+use std::collections::HashMap;
 
 use parking_lot::Mutex;
+use rads_graph::{Pattern, PatternVertex};
+use rads_partition::LocalPartition;
+use rads_plan::ExecutionPlan;
+use rads_single::MatchingOrder;
 
 use crate::cache::ForeignVertexCache;
+use crate::sme::choose_descent_order;
+
+/// What a descent order is chosen for: the pattern's edges and the plan's
+/// matching order (which fixes the start vertex).
+type OrderKey = (Vec<(PatternVertex, PatternVertex)>, Vec<PatternVertex>);
 
 /// The foreign-vertex caches of one machine that are not in use right now.
 #[derive(Debug)]
@@ -35,6 +53,8 @@ pub struct ForeignStore {
     cache_bytes: usize,
     /// Checked-in caches, the most recently returned last.
     idle: Mutex<Vec<ForeignVertexCache>>,
+    /// The descent order chosen per (pattern, plan).
+    orders: Mutex<HashMap<OrderKey, MatchingOrder>>,
 }
 
 impl ForeignStore {
@@ -42,7 +62,11 @@ impl ForeignStore {
     /// ([`crate::memory::MemoryBudget::cache_bytes`] of the budget the
     /// machine started with).
     pub fn new(cache_bytes: usize) -> ForeignStore {
-        ForeignStore { cache_bytes, idle: Mutex::new(Vec::new()) }
+        ForeignStore {
+            cache_bytes,
+            idle: Mutex::new(Vec::new()),
+            orders: Mutex::new(HashMap::new()),
+        }
     }
 
     /// Takes the most recently returned cache (the warmest: it served the
@@ -71,6 +95,24 @@ impl ForeignStore {
     /// that ever ran at once against this store.
     pub fn idle_caches(&self) -> usize {
         self.idle.lock().len()
+    }
+
+    /// The order this machine matches `pattern` in under `plan`, chosen by
+    /// [`choose_descent_order`] on `local` the first time it is asked for
+    /// and kept from then on. `local` must be the partition the store serves.
+    pub fn descent_order(
+        &self,
+        local: &LocalPartition,
+        pattern: &Pattern,
+        plan: &ExecutionPlan,
+    ) -> MatchingOrder {
+        let key = (pattern.edges(), plan.matching_order().to_vec());
+        if let Some(order) = self.orders.lock().get(&key) {
+            return order.clone();
+        }
+        // measured outside the lock: a query of another pattern need not wait
+        let order = choose_descent_order(local, pattern, plan);
+        self.orders.lock().entry(key).or_insert(order).clone()
     }
 
     /// Accounted bytes of adjacency held by the idle caches; never more than

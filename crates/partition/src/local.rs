@@ -1,8 +1,9 @@
 //! One machine's view of the partitioned data graph.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
-use rads_graph::{Graph, VertexId};
+use rads_graph::{Graph, GraphBuilder, VertexId};
 
 use crate::partitioning::{MachineId, Partitioning};
 
@@ -33,6 +34,9 @@ pub struct LocalPartition {
     border_distance: Vec<u32>,
     /// Number of edges owned by this machine (at least one endpoint owned).
     owned_edge_count: usize,
+    /// The induced subgraph over the owned vertices, built on first use
+    /// ([`owned_graph`](Self::owned_graph)).
+    owned_graph: OnceLock<Graph>,
 }
 
 impl LocalPartition {
@@ -71,6 +75,7 @@ impl LocalPartition {
             is_border,
             border_distance,
             owned_edge_count: owned_edges,
+            owned_graph: OnceLock::new(),
         }
     }
 
@@ -126,6 +131,32 @@ impl LocalPartition {
     /// The owned vertices, sorted by global id.
     pub fn owned_vertices(&self) -> &[VertexId] {
         &self.owned
+    }
+
+    /// The dense id of an owned vertex: its position in
+    /// [`owned_vertices`](Self::owned_vertices), so dense ids are monotone in
+    /// global ids. `None` for a foreign vertex.
+    pub fn dense_id(&self, v: VertexId) -> Option<VertexId> {
+        self.local_index.get(&v).copied()
+    }
+
+    /// The induced subgraph over the owned vertices, relabelled by
+    /// [`dense_id`](Self::dense_id). Built once, on first use, and kept for
+    /// as long as the partition is: SM-E enumerates on it, and the engine
+    /// samples its descent order on it. Since dense ids keep the order of
+    /// global ids, symmetry-breaking comparisons agree on both labellings.
+    pub fn owned_graph(&self) -> &Graph {
+        self.owned_graph.get_or_init(|| {
+            let mut builder = GraphBuilder::new(self.owned.len());
+            for (i, &v) in self.owned.iter().enumerate() {
+                for &w in &self.neighbors[self.offsets[i]..self.offsets[i + 1]] {
+                    if let Some(&j) = self.local_index.get(&w).filter(|_| w > v) {
+                        builder.add_edge(i as VertexId, j);
+                    }
+                }
+            }
+            builder.build()
+        })
     }
 
     /// Whether this machine owns `v`.

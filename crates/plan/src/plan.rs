@@ -335,6 +335,20 @@ impl ExecutionPlan {
     }
 }
 
+/// One line: the start vertex, each unit as `pivot>[leaves]`, and the
+/// matching order — e.g. `start 0; units 0>[1, 2, 7, 8, 9], 1>[3, 4],
+/// 2>[5, 6]; order [0, 1, 2, 8, 9, 7, 4, 3, 5, 6]`.
+impl std::fmt::Display for ExecutionPlan {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "start {}; units ", self.start_vertex())?;
+        for (round, unit) in self.units.iter().enumerate() {
+            let separator = if round == 0 { "" } else { ", " };
+            write!(f, "{separator}{}>{:?}", unit.pivot, unit.leaves)?;
+        }
+        write!(f, "; order {:?}", self.matching_order)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -515,6 +529,15 @@ mod tests {
     fn start_span_uses_pattern_span() {
         let plan = example4_pl1();
         assert_eq!(plan.start_span(), plan.pattern().span(0));
+    }
+
+    #[test]
+    fn a_plan_prints_its_start_units_and_order() {
+        assert_eq!(
+            example4_pl1().to_string(),
+            "start 0; units 0>[1, 2, 7, 8, 9], 1>[3, 4], 2>[5, 6]; \
+             order [0, 1, 2, 8, 9, 7, 4, 3, 5, 6]"
+        );
     }
 
     #[test]

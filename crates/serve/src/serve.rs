@@ -59,7 +59,9 @@
 //! the run); engine stats and the embedding trie live inside `run_machine`
 //! and die with it. What intentionally persists:
 //!
-//! * the partitioned graph;
+//! * the partitioned graph, with each machine's owned induced subgraph
+//!   (built by its first query: SM-E and the descent-order sampler run on
+//!   it);
 //! * the plan cache ([`PlanCache`] — keyed by canonical pattern signature,
 //!   hits observable as `rads_plan_cache_hits_total`);
 //! * the process-global metrics registry, which stays *cumulative* (that is
@@ -76,7 +78,11 @@
 //!   most `--max-concurrent-queries × --workers` caches — one per drain loop
 //!   that ever ran at once — each an LRU held to the **startup** budget's
 //!   cache allowance: the bound the per-query caches had, resident instead
-//!   of transient. `--no-cache` bypasses the store.
+//!   of transient. `--no-cache` bypasses the store's caches.
+//! * **the descent order of each pattern** — measured by a machine on its
+//!   own partition the first time it runs the pattern, and kept in the same
+//!   store ([`ForeignStore::descent_order`]): it is derived from data that
+//!   cannot change while the cluster is up.
 //!
 //! Per-query metrics are computed via a per-query epoch ledger
 //! ([`rads_obs::EpochLedger`]): each query diffs the cluster-wide registry

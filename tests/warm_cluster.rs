@@ -331,3 +331,56 @@ fn the_mixed_depth_first_and_batched_path_finds_every_embedding_once() {
     assert!(deposits > 0, "the descent never deposited for a batched round");
     assert!(splits > 0, "the governor never shed a candidate");
 }
+
+#[test]
+fn abandoned_whole_rest_attempts_fall_back_without_losing_or_doubling_an_embedding() {
+    // After the light classes warm the stores, most parents match the whole
+    // rest of q8, q3 and c3 depth-first in their machine's descent order. A
+    // 4 KiB cache allowance keeps evicting what the machines know, so some
+    // attempts give up half-way and their parents take the unit path; a
+    // 4 KiB `Φ` makes the governor shed candidates meanwhile. Counts and
+    // embeddings must still come out exactly once each.
+    let graph = graph();
+    let cluster = Cluster::new(partitioned());
+    let warm_up = ["triangle", "c1", "q1", "c4", "q8"];
+    let (mut abandoned, mut depth_first, mut splits) = (0, 0, 0);
+    for workers in [1, 4] {
+        for driver in [RoundDriver::Serial, RoundDriver::Async] {
+            let config = RadsConfig {
+                memory_budget: MemoryBudget::from_bytes(4096),
+                workers,
+                round_driver: driver,
+                collect_embeddings: true,
+                ..RadsConfig::default()
+            };
+            let leg = format!("{workers} worker(s), {driver:?}");
+            let stores = stores(4096);
+            for name in warm_up {
+                let pattern = queries::query_by_name(name).expect("known query");
+                run_rads_resident(&cluster, &pattern, &config, &stores);
+            }
+            for name in ["q8", "q3", "c3"] {
+                let pattern = queries::query_by_name(name).expect("known query");
+                let outcome = run_rads_resident(&cluster, &pattern, &config, &stores);
+                assert_eq!(
+                    outcome.total_embeddings,
+                    count_embeddings(&graph, &pattern),
+                    "{name}: count ({leg})"
+                );
+                assert_eq!(
+                    digest(outcome.all_embeddings()),
+                    digest(collect_embeddings(&graph, &pattern)),
+                    "{name}: embeddings ({leg})"
+                );
+                for machine in &outcome.per_machine {
+                    abandoned += machine.stats.depth_first_abandoned;
+                    depth_first += machine.stats.depth_first_embeddings;
+                    splits += machine.stats.governor_splits;
+                }
+            }
+        }
+    }
+    assert!(abandoned > 0, "no whole-rest attempt gave up");
+    assert!(depth_first > 0, "nothing was found depth-first");
+    assert!(splits > 0, "the governor never shed a candidate");
+}
