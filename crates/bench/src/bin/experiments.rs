@@ -8,7 +8,7 @@
 //!
 //! EXPERIMENT: all | table1 | table2 | fig8 | fig9 | fig10 | fig11 | fig12
 //!           | fig13 | table3 | table4 | fig15 | robustness | ablation
-//!           | speedup | intersect | sockets | overlap | observe
+//!           | intersect | sockets | observe
 //! ```
 //!
 //! `validate` is the schema gate: it parses the committed
@@ -26,10 +26,6 @@
 //! and over a real 4-process Unix-domain-socket cluster (spawning the
 //! `rads-node` binary built next to this one), asserts count equality and
 //! records simulated-model bytes vs real framed wire bytes side by side.
-//! `overlap` compares the serial and async round drivers on identical
-//! inputs, once over a simulated 4 ms-RTT network and once on a real
-//! 4-process UDS cluster, asserting count equality between the drivers and
-//! recording the wall-clock the async scatter/harvest buys.
 //!
 //! `--reps` controls how many timed repetitions the `intersect` experiment
 //! averages per kernel (default 3; CI smoke runs use 1 with a small
@@ -46,27 +42,24 @@
 //! few minutes on a laptop. Larger scales sharpen the separation between the
 //! systems but the qualitative shape is already visible at the default.
 //!
-//! Measurement-shaped experiments (the performance figures and `speedup`)
-//! additionally emit machine-readable rows; when any were produced, the
-//! whole `BENCH_results.json` (overridable with `--out`) is rewritten with
-//! exactly this invocation's rows — run the experiments you want recorded
-//! together in one invocation.
+//! Measurement-shaped experiments (`fig8`–`fig10`, `fig15`, `robustness`,
+//! `intersect`, `sockets`, `observe`) additionally emit machine-readable
+//! rows; when any were produced, the whole `BENCH_results.json`
+//! (overridable with `--out`) is rewritten with exactly this invocation's
+//! rows — run the experiments you want recorded together in one invocation.
 
 use std::time::Duration;
 
 use rads_bench::{
     ablations, clique_queries_figure, compression_table, governor_robustness, intersect_speedup,
-    observe_overhead, overlap_speedup, parallel_speedup, performance_figure,
-    plan_effectiveness_figure, robustness_experiment, scalability_figure, table1, table2,
-    write_results_json, BenchRecord, System,
+    observe_overhead, performance_figure, plan_effectiveness_figure, robustness_experiment,
+    scalability_figure, table1, table2, write_results_json, BenchRecord, System,
 };
 use rads_datasets::{DatasetKind, Scale};
-use rads_runtime::NetworkConfig;
 
 const KNOWN_EXPERIMENTS: &[&str] = &[
     "all", "table1", "table2", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "table3",
-    "table4", "fig15", "robustness", "ablation", "speedup", "intersect", "sockets", "overlap",
-    "observe", "validate",
+    "table4", "fig15", "robustness", "ablation", "intersect", "sockets", "observe", "validate",
 ];
 
 struct Options {
@@ -413,52 +406,6 @@ fn main() {
         println!();
     }
 
-    if want("speedup") {
-        println!(
-            "== Speedup: intra-machine worker pool on LiveJournal ({} machines, scale {:.2}, simulated 4 ms-RTT network) ==",
-            opts.machines, opts.scale.0
-        );
-        println!("dataset\tquery\tworkers\tembeddings\ttime(ms)\tcomm(MB)\tspeedup-vs-1");
-        // A latency-bearing network model (a 4 ms round trip, i.e. a cloud
-        // or cross-rack link rather than a tuned LAN): on a zero-cost
-        // network this single-process simulation cannot show the
-        // communication/computation overlap the pool buys, because compute
-        // itself does not parallelize when the host has fewer cores than
-        // simulated machines x workers.
-        let network = NetworkConfig {
-            latency_per_message: Duration::from_millis(2),
-            bytes_per_second: Some(100 * 1024 * 1024),
-        };
-        let rows = parallel_speedup(
-            DatasetKind::LiveJournal,
-            opts.scale,
-            opts.machines,
-            opts.seed,
-            network,
-            64 * 1024,
-            &["q5", "q8"],
-            &[1, 4],
-        );
-        let mut base_ms = 1.0;
-        for r in &rows {
-            if r.workers == 1 {
-                base_ms = r.elapsed_ms;
-            }
-            println!(
-                "{}\t{}\t{}\t{}\t{:.1}\t{:.4}\t{:.2}x",
-                r.dataset,
-                r.query,
-                r.workers,
-                r.embeddings,
-                r.elapsed_ms,
-                r.bytes_shipped as f64 / (1024.0 * 1024.0),
-                base_ms / r.elapsed_ms.max(1e-6),
-            );
-        }
-        records.extend(rows);
-        println!();
-    }
-
     if want("intersect") {
         println!(
             "== Intersect: candidate-generation kernels on LiveJournal (single thread, scale {:.2}, {} reps) ==",
@@ -539,97 +486,6 @@ fn main() {
                 std::process::exit(1);
             }
             Err(e) => println!("skipping sockets experiment: {e}\n"),
-        }
-    }
-
-    if want("overlap") {
-        println!(
-            "== Overlap: serial vs async round driver on LiveJournal ({} machines, scale {:.2}, simulated 4 ms-RTT network) ==",
-            opts.machines, opts.scale.0
-        );
-        println!("dataset\tquery\tsystem\tembeddings\ttime(ms)\tbytes shipped\tspeedup-vs-serial");
-        // The same network model as `speedup`: the serial driver pays one
-        // round trip per fetchV chunk in sequence, the async driver scatters
-        // all chunks of a round first, so their 4 ms windows overlap.
-        let network = NetworkConfig {
-            latency_per_message: Duration::from_millis(2),
-            bytes_per_second: Some(100 * 1024 * 1024),
-        };
-        let sim_rows = overlap_speedup(
-            DatasetKind::LiveJournal,
-            opts.scale,
-            opts.machines,
-            opts.seed,
-            network,
-            &["q5", "q8"],
-            opts.reps,
-        );
-        let print_pairs = |rows: &[BenchRecord]| {
-            for pair in rows.chunks(2) {
-                let serial_ms = pair[0].elapsed_ms;
-                for r in pair {
-                    println!(
-                        "{}\t{}\t{}\t{}\t{:.1}\t{}\t{:.2}x",
-                        r.dataset,
-                        r.query,
-                        r.system,
-                        r.embeddings,
-                        r.elapsed_ms,
-                        r.bytes_shipped,
-                        serial_ms / r.elapsed_ms.max(1e-6),
-                    );
-                }
-            }
-        };
-        print_pairs(&sim_rows);
-        records.extend(sim_rows);
-        println!();
-
-        let explicit = opts.experiments.iter().any(|e| e == "overlap");
-        match rads_serve::procs::sibling_node_binary() {
-            Ok(node_binary) => {
-                // Per-query scales: with no network latency to hide, the
-                // async driver's UDS edge is proportional to message count,
-                // while compute — which co-scheduled processes cannot
-                // overlap — grows faster than messages with scale. q5's
-                // message-to-compute ratio is best at the base scale; q8
-                // produces two orders of magnitude fewer embeddings, so it
-                // needs 2.5x before its engine time clears the cluster's
-                // scheduling noise floor (~±10 ms).
-                let uds_queries =
-                    [("q5", opts.scale), ("q8", Scale(opts.scale.0 * 2.5))];
-                let scales = uds_queries
-                    .iter()
-                    .map(|(q, s)| format!("{q} at scale {:.2}", s.0))
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                println!(
-                    "== Overlap: serial vs async round driver on a real {}-process UDS cluster ({scales}) ==",
-                    opts.machines
-                );
-                println!("dataset\tquery\tsystem\tembeddings\ttime(ms)\tbytes shipped\tspeedup-vs-serial");
-                let uds_rows = rads_bench::overlap_sockets(
-                    DatasetKind::LiveJournal,
-                    opts.machines,
-                    opts.seed,
-                    &uds_queries,
-                    &node_binary,
-                    Duration::from_secs(300),
-                    opts.reps,
-                )
-                .unwrap_or_else(|e| {
-                    eprintln!("error: overlap experiment failed: {e}");
-                    std::process::exit(1);
-                });
-                print_pairs(&uds_rows);
-                records.extend(uds_rows);
-                println!();
-            }
-            Err(e) if explicit => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-            Err(e) => println!("skipping the overlap experiment's UDS leg: {e}\n"),
         }
     }
 

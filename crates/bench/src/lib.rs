@@ -8,33 +8,28 @@
 //!
 //! Measurement-shaped experiments additionally emit [`BenchRecord`]s, which
 //! the binary serializes to `BENCH_results.json` so the performance
-//! trajectory of the repository is machine-readable; [`parallel_speedup`]
-//! measures the intra-machine worker pool (wall-clock speedup of
-//! `workers = n` over `workers = 1` on a latency-bearing simulated network)
-//! and [`overlap_speedup`] compares the serial round driver against the
-//! async one (same network, identical counts asserted per query; the
-//! `overlap` rows in `BENCH_results.json` carry its UDS-cluster counterpart
-//! from [`overlap_sockets`] too).
+//! trajectory of the repository is machine-readable. Client-observed
+//! numbers on the resident cluster (queries/s, latency, bytes per query)
+//! are measured by the serving benchmark under `benchmark/`, not here.
 //!
 //! The production serving path (the `rads-node` / `rads-query` binaries and
 //! the cluster lifecycle behind them) lives in `rads-serve`; this crate
 //! uses it only to drive a real multi-process cluster from the `sockets`
-//! and `overlap` experiments ([`socket_vs_simulated`], [`overlap_sockets`])
-//! and for its JSON reader.
+//! experiment ([`socket_vs_simulated`]) and for its JSON reader.
 
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rads_baselines::{run_crystal, run_psgl, run_seed, run_twintwig, CliqueIndex};
-use rads_core::{run_rads, RadsConfig, RoundDriver};
+use rads_core::{run_rads, RadsConfig};
 use rads_datasets::{generate, Dataset, DatasetKind, Scale};
 use rads_graph::{queries, Graph, Pattern};
 use rads_partition::{LabelPropagationPartitioner, PartitionedGraph, Partitioner};
 use rads_plan::{random_min_round_plan, random_star_plan};
-use rads_runtime::{Cluster, NetworkConfig, TransportKind};
+use rads_runtime::{Cluster, TransportKind};
 use rads_serve::json;
-use rads_serve::procs::{ClusterSpec, ClusterSummary, FaultPolicy};
+use rads_serve::procs::{ClusterSpec, FaultPolicy};
 use rads_serve::serve::run_once;
 
 /// The systems compared in the evaluation.
@@ -116,146 +111,6 @@ impl Measurement {
 pub fn build_cluster(graph: &Graph, machines: usize) -> Cluster {
     let partitioning = LabelPropagationPartitioner::default().partition(graph, machines);
     Cluster::new(Arc::new(PartitionedGraph::build(graph, partitioning)))
-}
-
-/// [`build_cluster`] with an explicit network model (latency/bandwidth are
-/// simulated by sleeping on every remote exchange).
-pub fn build_cluster_with_network(
-    graph: &Graph,
-    machines: usize,
-    network: NetworkConfig,
-) -> Cluster {
-    let partitioning = LabelPropagationPartitioner::default().partition(graph, machines);
-    Cluster::with_network(Arc::new(PartitionedGraph::build(graph, partitioning)), network)
-}
-
-/// Measures the intra-machine worker pool: RADS wall-clock for each worker
-/// count in `worker_counts` on one dataset/query, over a latency-bearing
-/// simulated network (on a real cluster the engine overlaps communication
-/// stalls with useful work; a zero-cost network would hide exactly the
-/// effect this experiment demonstrates). `budget_bytes` is the per-group
-/// memory budget `Φ` — the paper's regime has many region groups per
-/// machine, which is also what gives the pool units to schedule. Panics if
-/// any worker count changes the embedding total — the determinism contract
-/// of `RadsConfig::workers`.
-#[allow(clippy::too_many_arguments)]
-pub fn parallel_speedup(
-    kind: DatasetKind,
-    scale: Scale,
-    machines: usize,
-    seed: u64,
-    network: NetworkConfig,
-    budget_bytes: usize,
-    query_names: &[&str],
-    worker_counts: &[usize],
-) -> Vec<BenchRecord> {
-    let dataset = generate(kind, scale, seed);
-    let cluster = build_cluster_with_network(&dataset.graph, machines, network);
-    let mut records = Vec::new();
-    for &qname in query_names {
-        let pattern = queries::query_by_name(qname).expect("known query");
-        let mut expected = None;
-        for &workers in worker_counts {
-            let config = RadsConfig {
-                memory_budget: rads_core::memory::MemoryBudget {
-                    region_group_bytes: budget_bytes,
-                    ..Default::default()
-                },
-                ..RadsConfig::with_workers(workers)
-            };
-            let outcome = run_rads(&cluster, &pattern, &config);
-            match expected {
-                None => expected = Some(outcome.total_embeddings),
-                Some(e) => assert_eq!(
-                    e, outcome.total_embeddings,
-                    "{qname}: workers={workers} changed the embedding count"
-                ),
-            }
-            let elapsed_ms = outcome.elapsed.as_secs_f64() * 1000.0;
-            records.push(BenchRecord {
-                experiment: "speedup".to_string(),
-                dataset: dataset.profile.name.clone(),
-                query: qname.to_string(),
-                system: "RADS".to_string(),
-                machines,
-                workers,
-                embeddings: outcome.total_embeddings,
-                elapsed_ms,
-                embeddings_per_sec: embeddings_per_sec(outcome.total_embeddings, elapsed_ms),
-                bytes_shipped: outcome.traffic.total_bytes,
-                peak_tracked_bytes: outcome.peak_tracked_bytes(),
-                budget_bytes: budget_bytes as u64,
-            });
-        }
-    }
-    records
-}
-
-/// The `overlap` experiment's simulated leg: wall-clock of the async
-/// scatter/harvest round driver against the serial oracle on a
-/// latency-bearing network. The serial driver pays the full round trip for
-/// every fetchV chunk in sequence; the async driver scatters all chunks of
-/// a round before harvesting, so their latency windows overlap — on a
-/// network with per-message latency the gap is structural, not a tuning
-/// artifact. Each driver runs `reps` times and the fastest run is recorded
-/// (minimum, not mean: scheduling noise only ever adds time). Panics if the
-/// drivers disagree on any embedding count — the determinism contract of
-/// `RadsConfig::round_driver`.
-///
-/// Returns a `RADS-serial` / `RADS-async` record pair per query.
-pub fn overlap_speedup(
-    kind: DatasetKind,
-    scale: Scale,
-    machines: usize,
-    seed: u64,
-    network: NetworkConfig,
-    query_names: &[&str],
-    reps: u32,
-) -> Vec<BenchRecord> {
-    let dataset = generate(kind, scale, seed);
-    let cluster = build_cluster_with_network(&dataset.graph, machines, network);
-    let mut records = Vec::new();
-    for &qname in query_names {
-        let pattern = queries::query_by_name(qname).expect("known query");
-        let mut expected = None;
-        for driver in [RoundDriver::Serial, RoundDriver::Async] {
-            let config = RadsConfig::with_round_driver(driver);
-            let mut best: Option<rads_core::RadsOutcome> = None;
-            for _ in 0..reps.max(1) {
-                let outcome = run_rads(&cluster, &pattern, &config);
-                if best.as_ref().is_none_or(|b| outcome.elapsed < b.elapsed) {
-                    best = Some(outcome);
-                }
-            }
-            let outcome = best.expect("reps >= 1");
-            match expected {
-                None => expected = Some(outcome.total_embeddings),
-                Some(e) => assert_eq!(
-                    e, outcome.total_embeddings,
-                    "{qname}: the async driver changed the embedding count"
-                ),
-            }
-            let elapsed_ms = outcome.elapsed.as_secs_f64() * 1000.0;
-            records.push(BenchRecord {
-                experiment: "overlap".to_string(),
-                dataset: dataset.profile.name.clone(),
-                query: qname.to_string(),
-                system: match driver {
-                    RoundDriver::Serial => "RADS-serial".to_string(),
-                    RoundDriver::Async => "RADS-async".to_string(),
-                },
-                machines,
-                workers: config.workers,
-                embeddings: outcome.total_embeddings,
-                elapsed_ms,
-                embeddings_per_sec: embeddings_per_sec(outcome.total_embeddings, elapsed_ms),
-                bytes_shipped: outcome.traffic.total_bytes,
-                peak_tracked_bytes: outcome.peak_tracked_bytes(),
-                budget_bytes: 0,
-            });
-        }
-    }
-    records
 }
 
 /// The `intersect` experiment: wall-clock of the intersection-based
@@ -410,7 +265,7 @@ pub fn embeddings_per_sec(embeddings: u64, elapsed_ms: f64) -> f64 {
 /// One machine-readable result row of `BENCH_results.json`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchRecord {
-    /// Experiment that produced the row (e.g. `"fig10"`, `"speedup"`).
+    /// Experiment that produced the row (e.g. `"fig10"`, `"sockets"`).
     pub experiment: String,
     /// Dataset name.
     pub dataset: String,
@@ -840,7 +695,6 @@ pub fn socket_vs_simulated(
             workers,
             budget: None,
             driver: config.round_driver,
-            fetch_chunk: None,
             cache: true,
             trace_out: None,
             metrics_out: None,
@@ -875,120 +729,6 @@ pub fn socket_vs_simulated(
                 elapsed_ms: ms,
                 embeddings_per_sec: embeddings_per_sec(sim.total_embeddings, ms),
                 bytes_shipped: bytes,
-                peak_tracked_bytes: 0,
-                budget_bytes: 0,
-            });
-        }
-    }
-    Ok(records)
-}
-
-/// `fetchV` chunk of the `overlap` experiment's UDS leg. A same-host
-/// socket's round trip is two to three orders of magnitude below a real
-/// network's, so at the production chunk size
-/// ([`rads_core::engine::DEFAULT_FETCH_CHUNK_VERTICES`]) a round's handful
-/// of frames costs microseconds and any driver difference drowns in
-/// scheduling noise. Shrinking the chunk makes each round span as many
-/// round trips as it would when adjacency volume, frame caps or MTU-sized
-/// chunks force it to on a real wire — which is exactly the request
-/// sequence whose latency the async driver exists to overlap. Both drivers
-/// run with the same chunk, so the comparison stays apples to apples.
-pub const OVERLAP_FETCH_CHUNK: usize = 16;
-
-/// The round drivers the `overlap` experiment compares, in record order.
-const OVERLAP_DRIVERS: [RoundDriver; 2] = [RoundDriver::Serial, RoundDriver::Async];
-
-/// Floor on the per-driver rep count of [`overlap_sockets`]. Scheduling
-/// noise on a single-host cluster is one-sided — contention only ever
-/// *adds* time — so the minimum over reps converges to each driver's true
-/// floor, and because the floors sit only a few percent apart when the
-/// whole cluster time-slices one box, a handful of samples is not enough
-/// for the minima to separate reliably. The runs are sub-second, so the
-/// extra reps are cheap.
-pub const OVERLAP_UDS_MIN_REPS: u32 = 9;
-
-/// The `overlap` experiment's real-socket leg: each `(query, scale)` pair
-/// on a real `machines`-process UDS cluster (this process as coordinator
-/// plus spawned `rads-node` workers), once per round driver, with
-/// message-rich rounds ([`OVERLAP_FETCH_CHUNK`]). No artificial latency is
-/// injected — the async driver's edge here comes from keeping every peer
-/// daemon busy at once instead of serving one fetchV chunk per round trip.
-/// Each driver runs `reps` times (at least [`OVERLAP_UDS_MIN_REPS`]) — the
-/// drivers *interleaved* rep by rep, so a drift in the host's available
-/// CPU (this is a whole cluster time-slicing one box) hits both drivers
-/// alike instead of whichever ran its block second — and the fastest
-/// slowest-machine engine time is recorded (the coordinator's own wall
-/// clock also counts process spawning and `machines` independent dataset
-/// generations, which neither driver influences). Panics if the drivers
-/// disagree on any embedding count.
-///
-/// Returns a `RADS-uds-serial` / `RADS-uds-async` record pair per query.
-pub fn overlap_sockets(
-    kind: DatasetKind,
-    machines: usize,
-    seed: u64,
-    queries: &[(&str, Scale)],
-    node_binary: &Path,
-    timeout: Duration,
-    reps: u32,
-) -> Result<Vec<BenchRecord>, String> {
-    let workers = RadsConfig::default().workers;
-    let reps = reps.max(OVERLAP_UDS_MIN_REPS);
-    let mut records = Vec::new();
-    for &(qname, scale) in queries {
-        let mut best: [Option<(f64, ClusterSummary)>; 2] = [None, None];
-        for _ in 0..reps {
-            for (slot, driver) in OVERLAP_DRIVERS.into_iter().enumerate() {
-                let spec = ClusterSpec {
-                    machines,
-                    dataset: kind,
-                    scale: scale.0,
-                    seed,
-                            workers,
-                    budget: None,
-                    driver,
-                    fetch_chunk: Some(OVERLAP_FETCH_CHUNK),
-                    cache: true,
-                    trace_out: None,
-                    metrics_out: None,
-                    fault_policy: FaultPolicy::default(),
-                    chaos_kill_ms: None,
-                };
-                let summary = run_once(&spec, qname, TransportKind::Uds, node_binary, timeout)?;
-                let ms = summary
-                    .per_machine
-                    .iter()
-                    .map(|m| m.elapsed_ms)
-                    .fold(0.0f64, f64::max);
-                if best[slot].as_ref().is_none_or(|(b, _)| ms < *b) {
-                    best[slot] = Some((ms, summary));
-                }
-            }
-        }
-        let mut expected = None;
-        for (slot, driver) in OVERLAP_DRIVERS.into_iter().enumerate() {
-            let (ms, summary) = best[slot].take().expect("reps >= 1");
-            match expected {
-                None => expected = Some(summary.total_embeddings),
-                Some(e) => assert_eq!(
-                    e, summary.total_embeddings,
-                    "{qname}: the async driver changed the count on the UDS cluster"
-                ),
-            }
-            records.push(BenchRecord {
-                experiment: "overlap".to_string(),
-                dataset: summary.dataset.clone(),
-                query: qname.to_string(),
-                system: match driver {
-                    RoundDriver::Serial => "RADS-uds-serial".to_string(),
-                    RoundDriver::Async => "RADS-uds-async".to_string(),
-                },
-                machines,
-                workers,
-                embeddings: summary.total_embeddings,
-                elapsed_ms: ms,
-                embeddings_per_sec: embeddings_per_sec(summary.total_embeddings, ms),
-                bytes_shipped: summary.wire_bytes,
                 peak_tracked_bytes: 0,
                 budget_bytes: 0,
             });
@@ -1580,24 +1320,5 @@ mod tests {
             assert!(pair[0].peak_tracked_bytes >= 10 * pair[0].budget_bytes);
             assert!(pair[1].peak_tracked_bytes <= pair[1].budget_bytes);
         }
-    }
-
-    #[test]
-    fn parallel_speedup_records_identical_counts_per_worker_count() {
-        let records = parallel_speedup(
-            DatasetKind::Dblp,
-            Scale(0.08),
-            2,
-            9,
-            NetworkConfig::default(),
-            64 * 1024,
-            &["q1"],
-            &[1, 2],
-        );
-        assert_eq!(records.len(), 2);
-        assert_eq!(records[0].embeddings, records[1].embeddings);
-        assert_eq!(records[0].workers, 1);
-        assert_eq!(records[1].workers, 2);
-        assert!(records.iter().all(|r| r.experiment == "speedup" && r.system == "RADS"));
     }
 }

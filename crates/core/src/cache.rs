@@ -62,8 +62,6 @@ struct Entry {
     prev: u32,
     /// Less recently used neighbour ([`NIL`] = oldest, next to evict).
     next: u32,
-    /// The [`ForeignVertexCache::epoch`] that last inserted or hit this entry.
-    epoch: u32,
 }
 
 /// Per-machine cache of foreign adjacency lists fetched with `fetchV`,
@@ -81,14 +79,6 @@ pub struct ForeignVertexCache {
     tail: u32,
     /// Current accounted bytes of every cached adjacency list.
     bytes: usize,
-    /// Which use of the cache this is: bumped by
-    /// [`begin_epoch`](Self::begin_epoch) every time a resident cache is
-    /// taken up again.
-    epoch: u32,
-    /// The part of `bytes` inserted or hit during the current epoch — what
-    /// the user of the cache is known to be working with. All of `bytes`
-    /// for a cache that was never handed on.
-    epoch_bytes: usize,
     /// Highest `bytes` ever observed.
     peak_bytes: usize,
     /// Byte capacity; inserts evict until the new entry fits.
@@ -123,8 +113,6 @@ impl ForeignVertexCache {
             head: NIL,
             tail: NIL,
             bytes: 0,
-            epoch: 0,
-            epoch_bytes: 0,
             peak_bytes: 0,
             capacity_bytes,
             stats: CacheStats::default(),
@@ -163,39 +151,6 @@ impl ForeignVertexCache {
         std::mem::size_of::<VertexId>() * (adjacency_len + 1)
     }
 
-    /// Starts a new epoch: from here on, only what is inserted or hit counts
-    /// as in use. A [`crate::store::ForeignStore`] calls this when it hands a
-    /// resident cache to the next drain, whose working set is not the
-    /// previous one's.
-    pub fn begin_epoch(&mut self) {
-        match self.epoch.checked_add(1) {
-            Some(next) => self.epoch = next,
-            // entries are stamped with epoch numbers: start over empty
-            // rather than let a 2^32-epochs-old stamp pass for a current one
-            None => {
-                self.clear();
-                self.epoch = 0;
-            }
-        }
-        self.epoch_bytes = 0;
-    }
-
-    /// How many more entries of this cache's average size fit into the
-    /// allowance next to what the current epoch has inserted or hit — the
-    /// bound on a group-ahead prefetch: overrunning it would evict the very
-    /// entries the in-flight group is about to use, whereas entries left
-    /// over from earlier epochs and not touched since are the LRU tail and
-    /// fair game. Before any entry is cached, a conservative small-degree
-    /// entry cost seeds the estimate.
-    pub fn prefetch_quota(&self) -> usize {
-        let free = self.capacity_bytes.saturating_sub(self.epoch_bytes);
-        let per_entry = self
-            .bytes
-            .checked_div(self.len())
-            .map_or_else(|| Self::entry_bytes(8), |per| per.max(1));
-        free / per_entry
-    }
-
     /// Unlinks the entry in `slot` from the recency list.
     fn unlink(&mut self, slot: u32) {
         let Entry { prev, next, .. } = self.slots[slot as usize];
@@ -230,9 +185,6 @@ impl ForeignVertexCache {
         let adjacency = std::mem::take(&mut entry.adjacency);
         self.index.remove(&entry.vertex);
         self.bytes -= Self::entry_bytes(adjacency.len());
-        if entry.epoch == self.epoch {
-            self.epoch_bytes -= Self::entry_bytes(adjacency.len());
-        }
         self.free.push(slot);
     }
 
@@ -261,7 +213,7 @@ impl ForeignVertexCache {
             self.remove_slot(self.tail);
             self.stats.evictions += 1;
         }
-        let entry = Entry { vertex, adjacency, prev: NIL, next: NIL, epoch: self.epoch };
+        let entry = Entry { vertex, adjacency, prev: NIL, next: NIL };
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slots[slot as usize] = entry;
@@ -275,7 +227,6 @@ impl ForeignVertexCache {
         };
         self.index.insert(vertex, slot);
         self.bytes += new_bytes;
-        self.epoch_bytes += new_bytes;
         self.peak_bytes = self.peak_bytes.max(self.bytes);
         self.link_front(slot);
     }
@@ -298,11 +249,6 @@ impl ForeignVertexCache {
             return None;
         };
         self.stats.hits += 1;
-        let entry = &mut self.slots[slot as usize];
-        if entry.epoch != self.epoch {
-            entry.epoch = self.epoch;
-            self.epoch_bytes += Self::entry_bytes(entry.adjacency.len());
-        }
         if self.head != slot {
             self.unlink(slot);
             self.link_front(slot);
@@ -369,7 +315,6 @@ impl ForeignVertexCache {
         self.head = NIL;
         self.tail = NIL;
         self.bytes = 0;
-        self.epoch_bytes = 0;
     }
 }
 
@@ -398,37 +343,6 @@ mod tests {
         assert_eq!(cache.verify_edge(12, 10), Some(true));
         assert_eq!(cache.verify_edge(10, 99), Some(false));
         assert_eq!(cache.verify_edge(1, 2), None);
-    }
-
-    #[test]
-    fn prefetch_quota_spares_only_what_the_current_epoch_touched() {
-        let entry = ForeignVertexCache::entry_bytes(3);
-        let mut cache = ForeignVertexCache::with_capacity(4 * entry);
-        for v in 0..4 {
-            cache.insert(v, vec![1, 2, 3]);
-        }
-        // a cache that was never handed on: everything in it is in use
-        assert_eq!(cache.prefetch_quota(), 0);
-        // the next user's working set is not known yet: all of it may go
-        cache.begin_epoch();
-        assert_eq!(cache.prefetch_quota(), 4);
-        // a hit and an insert (which evicts vertex 1, untouched) are in use
-        assert!(cache.get(0).is_some());
-        assert!(cache.get(0).is_some());
-        assert_eq!(cache.prefetch_quota(), 3);
-        cache.insert(9, vec![4, 5, 6]);
-        assert_eq!(cache.prefetch_quota(), 2);
-        assert!(!cache.contains(1));
-        // peeking is not using; replacing an in-use entry is not using it twice
-        assert!(cache.peek(2).is_some());
-        cache.insert(9, vec![4, 5, 6]);
-        assert_eq!(cache.prefetch_quota(), 2);
-        // evicting an in-use entry releases its share
-        cache.begin_epoch();
-        cache.insert(10, vec![7, 8, 9]);
-        cache.insert(11, vec![0; 15]); // 16 words: the whole allowance
-        assert_eq!(cache.recency_order(), vec![11]);
-        assert_eq!(cache.prefetch_quota(), 0);
     }
 
     #[test]

@@ -11,12 +11,10 @@
 //! the steal-half rule of work-stealing deques: one `checkR` broadcast plus
 //! one `shareR` round trip moves a batch rather than a single group, which
 //! cut the messages per query of the LiveJournal benchmark workloads by
-//! more than half. The back is the end the owner reaches last: the owner
-//! pops the front and prefetches the group behind it, so a steal never
-//! takes the group whose adjacency is already in flight, and the group the
-//! owner starts on is never in the queue at all. The thief runs one stolen
-//! group and queues the rest on its own queue, where its workers — or a
-//! third machine's `shareR` — take them.
+//! more than half. The back is the end the owner reaches last, since it
+//! pops the front, and the group the owner starts on is never in the queue
+//! at all. The thief runs one stolen group and queues the rest on its own
+//! queue, where its workers — or a third machine's `shareR` — take them.
 //!
 //! `checkR` **waits for the queue to be published**: a machine still in
 //! SM-E or region grouping has work it has not queued yet, and a thief that

@@ -120,18 +120,10 @@
 //!   into a *scatter* phase — every per-owner request chunk is issued
 //!   immediately via the transport's split-phase RPC, so their round-trips
 //!   overlap on the wire — and a *harvest* phase that redeems the pending
-//!   responses **in issue order**. On top of that, while the pool expands
-//!   one region group, the round-0 `fetchV` chunks of the *next* queued
-//!   group are already in flight (a bounded [`rads_exec::InflightWindow`]
-//!   of pending completions, budget-aware via
-//!   [`ForeignVertexCache::prefetch_quota`]); the harvested adjacency warms the
-//!   worker's foreign-vertex cache before that group starts expanding.
-//!   Prefetching is *latency-adaptive*: the demand-fetch path feeds its
-//!   observed first-response wait into
-//!   [`EngineStats::fetch_wait_micros`], and on a fabric that answers
-//!   faster than the engine could stall (nothing to hide) the prefetcher
-//!   stops scattering rather than burn CPU duplicating the next group's
-//!   round-0 computation.
+//!   responses **in issue order**. A round fetches only what it needs
+//!   (HUGE's pull-based model). Nothing is fetched a group ahead: R-Meef
+//!   forms a machine's region groups from its own start candidates, so a
+//!   group's round-0 adjacency is local unless the group was stolen.
 //!
 //! **Determinism contract under reordering.** Requests are scattered in a
 //! deterministic order (owners ascending, chunks in sorted-vertex order)
@@ -140,14 +132,12 @@
 //! how the network interleaves or reorders the replies (the fault-injection
 //! suite pins this with adversarial completion orders). Embedding counts,
 //! collected embeddings and every schedule-independent statistic are
-//! therefore bit-identical between the two drivers; prefetching only warms
-//! caches, so — as with `workers > 1` — only the communication-volume
-//! counters may differ.
+//! therefore bit-identical between the two drivers.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use parking_lot::Mutex;
-use rads_exec::{scoped_workers, ExecConfig, InflightWindow};
+use rads_exec::{scoped_workers, ExecConfig};
 use rads_graph::{Pattern, PatternVertex, SymmetryBreaking, VertexId};
 use rads_graph::types::EdgeKey;
 use rads_partition::LocalPartition;
@@ -177,8 +167,7 @@ pub enum RoundDriver {
     /// Blocking round-trip per request — the paper's sequential loop, kept
     /// as the differential-testing oracle.
     Serial,
-    /// Scatter all per-owner chunks concurrently, harvest in issue order,
-    /// and prefetch the next region group's round-0 fetches.
+    /// Scatter all per-owner chunks concurrently, harvest in issue order.
     #[default]
     Async,
 }
@@ -258,13 +247,6 @@ pub struct EngineConfig {
     /// How the rounds' communication is driven (see the
     /// [module docs](self#round-drivers-scatter--harvest)).
     pub driver: RoundDriver,
-    /// Vertices per `fetchV` request ([`DEFAULT_FETCH_CHUNK_VERTICES`]).
-    /// Smaller chunks split a round's foreign set into more frames — the
-    /// `overlap` benchmark lowers this on the real-socket leg so a round
-    /// spans as many round trips as it would on a network whose latency
-    /// dwarfs a same-host socket's. Chunking never changes results, only
-    /// how the same request sequence is framed.
-    pub fetch_chunk_vertices: usize,
 }
 
 impl Default for EngineConfig {
@@ -281,7 +263,6 @@ impl Default for EngineConfig {
             workers: 1,
             steal_granularity: rads_exec::DEFAULT_STEAL_GRANULARITY,
             driver: RoundDriver::default(),
-            fetch_chunk_vertices: DEFAULT_FETCH_CHUNK_VERTICES,
         }
     }
 }
@@ -368,16 +349,11 @@ pub struct EngineStats {
     /// Number of `fetchV` requests sent.
     pub fetch_requests: u64,
     /// EWMA (µs) of how long the async driver waited for the *first*
-    /// `fetchV` response after scattering a round's *demand* chunks — the
-    /// engine's own estimate of how much link latency there is to hide
-    /// (everything after the first response overlaps). Zero until an async
-    /// round has fetched something; merged across workers by `max`.
+    /// `fetchV` response after scattering a round's *demand* chunks — about
+    /// one link round trip (everything after the first response overlaps).
+    /// Zero until an async round has fetched something; merged across
+    /// workers by `max`.
     pub fetch_wait_micros: u64,
-    /// EWMA (µs) of how long harvesting one *prefetched* chunk blocked —
-    /// the residual stall left after the lookahead overlapped the fetch
-    /// with the previous group's compute (near zero when prefetch wins).
-    /// Zero until a prefetched chunk was harvested; merged by `max`.
-    pub prefetch_wait_micros: u64,
     /// Number of `verifyE` requests sent.
     pub verify_requests: u64,
     /// Transient RPC failures healed by transparent re-issue (retry with
@@ -446,7 +422,6 @@ impl MachineOutput {
             s.estimated_bytes_per_candidate.max(w.estimated_bytes_per_candidate);
         s.fetch_requests += w.fetch_requests;
         s.fetch_wait_micros = s.fetch_wait_micros.max(w.fetch_wait_micros);
-        s.prefetch_wait_micros = s.prefetch_wait_micros.max(w.prefetch_wait_micros);
         s.verify_requests += w.verify_requests;
         s.rpc_retries += w.rpc_retries;
         s.undetermined_edges += w.undetermined_edges;
@@ -500,7 +475,7 @@ impl MachineOracle<'_> {
 }
 
 /// Makes sure the adjacency of `pivot` is visible to the next expansion:
-/// owned, cached, or fetched now (the round's batch prefetch can be undone by
+/// owned, cached, or fetched now (the round's batch fetch can be undone by
 /// LRU eviction before the pivot is reached, and an adjacency list larger
 /// than the whole cache allowance is never retained at all). Returns the
 /// fetched list for use as the oracle's transient entry when the cache would
@@ -685,9 +660,8 @@ pub fn run_machine(
     if config.collect_embeddings {
         output.embeddings.sort_unstable();
     }
-    // The retry counter lives on the shared context (all workers and the
-    // prefetcher funnel through it), so it is read once here, not summed
-    // from worker partials.
+    // The retry counter lives on the shared context (all workers funnel
+    // through it), so it is read once here, not summed from worker partials.
     output.stats.rpc_retries = ctx.rpc_retries();
     crate::obs::publish_engine_stats(&output.stats);
     drop(query_span);
@@ -756,34 +730,13 @@ fn drain_region_groups(
     let _drain_span = rads_obs::span("drain", "engine");
 
     // ---- Phase 3: R-Meef over the local region groups ------------------------
-    // The async driver's group-level pipeline: before expanding the popped
-    // group, scatter the round-0 fetches of the *next* queued group, so its
-    // foreign adjacency streams in while this group computes. The prefetch
-    // only warms this worker's cache — if the targeted group is meanwhile
-    // stolen by another machine or re-split by the governor, the harvested
-    // entries are merely unused cache content, so counts never move.
-    let mut prefetch = GroupPrefetch::new(config);
-    loop {
-        let (group, upcoming) = {
-            let mut queue = group_queue.lock();
-            let group = first.take().or_else(|| queue.pop_front());
-            let upcoming = group.is_some().then(|| queue.front().cloned()).flatten();
-            (group, upcoming)
-        };
-        let Some(group) = group else { break };
-        // complete the fetches scattered while the previous group expanded
-        prefetch.harvest_all(ctx, &mut cache, &mut output.stats);
-        if let Some(next) = upcoming {
-            prefetch.scatter(ctx, ctx.partition(), &next, &mut cache, &mut output.stats);
-        }
+    while let Some(group) = first.take().or_else(|| group_queue.lock().pop_front()) {
         process_region_group(
             ctx, plan, &mut descent, &group, &mut cache, &mut expanders, &mut governor,
             group_queue, config, &mut output,
         );
         output.stats.groups_processed += 1;
     }
-    // a targeted group that was stolen leaves its prefetch un-harvested
-    prefetch.harvest_all(ctx, &mut cache, &mut output.stats);
 
     // ---- Phase 4: work stealing (checkR / shareR) -----------------------------
     if config.enable_load_sharing && ctx.machines() > 1 {
@@ -954,7 +907,6 @@ fn process_region_group(
         fetch_foreign(
             ctx,
             config.driver,
-            config.fetch_chunk_vertices,
             &mut to_fetch,
             cache,
             &mut scratch_cache,
@@ -1606,8 +1558,7 @@ fn insert_extensions(
     }
 }
 
-/// Default vertices per `fetchV` request
-/// ([`EngineConfig::fetch_chunk_vertices`]). Per-owner batches are chunked
+/// Vertices per `fetchV` request. Per-owner batches are chunked
 /// so one response cannot grow without bound: the socket transport caps
 /// frames at 64 MiB ([`rads_runtime::wire::MAX_FRAME_BYTES`]), and an
 /// uncapped round's foreign set would cross it long before a single
@@ -1615,154 +1566,10 @@ fn insert_extensions(
 /// for any realistic degree distribution of the dataset stand-ins.
 pub const DEFAULT_FETCH_CHUNK_VERTICES: usize = 4096;
 
-/// Upper bound on the `fetchV` chunks a [`GroupPrefetch`] keeps pending at
-/// once. Pushing past a full window completes the oldest chunk immediately
-/// ([`InflightWindow`]), bounding both the responses parked in transport
-/// buffers and the latency any single harvest can add.
-const PREFETCH_WINDOW_CHUNKS: usize = 8;
-
-/// Observed first-response wait (µs, EWMA — see
-/// [`EngineStats::fetch_wait_micros`]) below which [`GroupPrefetch`] stops
-/// scattering: a fabric that answers faster than this leaves no stall
-/// worth hiding, so prefetching would only burn the CPU the current
-/// group's expansion needs. One simulated-WAN round trip is milliseconds;
-/// a same-host socket answers in tens of µs.
-const PREFETCH_MIN_WAIT_MICROS: u64 = 500;
-
-/// The async driver's group-level pipeline stage: scatters the round-0
-/// `fetchV` chunks of an *upcoming* region group so they are in flight
-/// while the current group expands, then harvests them into the worker's
-/// persistent cache just before the targeted group is popped.
-///
-/// Inactive (every call a no-op) under the serial driver, when the
-/// persistent cache is disabled — a prefetch that cannot be retained
-/// anywhere would be pure waste — and once the observed fetch latency
-/// drops below [`PREFETCH_MIN_WAIT_MICROS`] (a fabric that fast leaves
-/// nothing to hide). The vertex count per scatter is capped by
-/// [`ForeignVertexCache::prefetch_quota`]: prefetching more than fits next to
-/// what this drain has used would evict entries the in-flight group still
-/// needs (what earlier queries left in a resident cache does not count).
-struct GroupPrefetch {
-    enabled: bool,
-    chunk: usize,
-    window: InflightWindow<PendingResponse>,
-}
-
-impl GroupPrefetch {
-    fn new(config: &EngineConfig) -> GroupPrefetch {
-        GroupPrefetch {
-            enabled: config.driver == RoundDriver::Async && config.enable_cache,
-            chunk: config.fetch_chunk_vertices.max(1),
-            window: InflightWindow::new(PREFETCH_WINDOW_CHUNKS),
-        }
-    }
-
-    /// Issues the round-0 foreign fetches of `group`, up to the cache's
-    /// prefetch quota. A push that overflows the in-flight window
-    /// completes the oldest pending chunk into the cache right away.
-    fn scatter(
-        &mut self,
-        ctx: &MachineContext,
-        local: &LocalPartition,
-        group: &[VertexId],
-        cache: &mut ForeignVertexCache,
-        stats: &mut EngineStats,
-    ) {
-        if !self.enabled {
-            return;
-        }
-        // Prefetching duplicates the next group's round-0 demand
-        // computation, spending local CPU to hide link latency. When the
-        // demand path's observed first-response wait says the fabric
-        // answers before the engine could stall, that duplicate work is a
-        // pure loss — skip it. No sample yet means the link speed is
-        // unknown; prefetch until proven fast.
-        if (1..PREFETCH_MIN_WAIT_MICROS).contains(&stats.fetch_wait_micros) {
-            return;
-        }
-        let quota = cache.prefetch_quota();
-        if quota == 0 {
-            return;
-        }
-        let mut to_fetch = foreign_members(local, group, |v| cache.contains(v));
-        to_fetch.sort_unstable();
-        to_fetch.dedup();
-        to_fetch.truncate(quota);
-        let mut by_owner: BTreeMap<usize, Vec<VertexId>> = BTreeMap::new();
-        for v in to_fetch {
-            by_owner.entry(ctx.ownership().owner(v)).or_default().push(v);
-        }
-        let mut scatter_span = rads_obs::span("prefetch.scatter", "prefetch");
-        let mut chunks = 0u64;
-        for (&owner, vertices) in &by_owner {
-            for chunk in vertices.chunks(self.chunk) {
-                stats.fetch_requests += 1;
-                chunks += 1;
-                let pending = ctx.request_async(owner, Request::FetchVertices(chunk.to_vec()));
-                if let Some(oldest) = self.window.push(pending) {
-                    Self::harvest_one(ctx, oldest, cache, stats);
-                }
-            }
-        }
-        scatter_span.attr("chunks", chunks);
-    }
-
-    /// Completes every pending prefetch chunk into `cache`.
-    fn harvest_all(
-        &mut self,
-        ctx: &MachineContext,
-        cache: &mut ForeignVertexCache,
-        stats: &mut EngineStats,
-    ) {
-        if self.window.is_empty() {
-            return;
-        }
-        let mut harvest_span = rads_obs::span("prefetch.harvest", "prefetch");
-        let mut chunks = 0u64;
-        while let Some(pending) = self.window.pop() {
-            chunks += 1;
-            Self::harvest_one(ctx, pending, cache, stats);
-        }
-        harvest_span.attr("chunks", chunks);
-    }
-
-    fn harvest_one(
-        ctx: &MachineContext,
-        pending: PendingResponse,
-        cache: &mut ForeignVertexCache,
-        stats: &mut EngineStats,
-    ) {
-        let (owner, correlation) = (pending.to(), pending.correlation());
-        // How long harvesting blocks on a *prefetched* chunk is the residual
-        // stall the group-ahead pipeline failed to hide — near zero when the
-        // scatter won the race against the expand phase.
-        let started = std::time::Instant::now();
-        let response = pending.wait();
-        let waited = (started.elapsed().as_micros() as u64).max(1);
-        stats.prefetch_wait_micros = match stats.prefetch_wait_micros {
-            0 => waited,
-            ewma => (3 * ewma + waited) / 4,
-        };
-        if rads_obs::metrics_enabled() {
-            crate::obs::prefetch_wait_histogram().observe(waited);
-        }
-        match response {
-            Ok(Response::Adjacency(lists)) => cache.insert_all(lists),
-            Ok(other) => unexpected_response(ctx, "fetchV", owner, correlation, &other),
-            // Prefetch is pure cache warming: a failed chunk is simply not
-            // inserted, and the demand path re-fetches it later under the
-            // full retry policy. Dropping it here keeps counts identical
-            // under fault injection without retrying speculative work.
-            Err(_) => {}
-        }
-    }
-}
-
 /// Batches `fetchV` requests per owner machine (chunked, see
-/// [`EngineConfig::fetch_chunk_vertices`]) and inserts the returned
-/// adjacency lists into
-/// the cache (or the per-round scratch cache when the persistent cache is
-/// disabled).
+/// [`DEFAULT_FETCH_CHUNK_VERTICES`]) and inserts the returned adjacency
+/// lists into the cache (or the per-round scratch cache when the persistent
+/// cache is disabled).
 ///
 /// Owners are visited in ascending machine order and each owner's vertices
 /// in sorted order, so the request sequence is deterministic. The serial
@@ -1772,7 +1579,6 @@ impl GroupPrefetch {
 fn fetch_foreign(
     ctx: &MachineContext,
     driver: RoundDriver,
-    chunk_vertices: usize,
     to_fetch: &mut Vec<VertexId>,
     cache: &mut ForeignVertexCache,
     scratch: &mut ForeignVertexCache,
@@ -1803,7 +1609,7 @@ fn fetch_foreign(
         let mut scatter_span = rads_obs::span("scatter", "engine");
         let mut chunks = 0u64;
         for (&owner, vertices) in &by_owner {
-            for chunk in vertices.chunks(chunk_vertices.max(1)) {
+            for chunk in vertices.chunks(DEFAULT_FETCH_CHUNK_VERTICES) {
                 stats.fetch_requests += 1;
                 chunks += 1;
                 let request = Request::FetchVertices(chunk.to_vec());
@@ -1836,9 +1642,7 @@ fn fetch_foreign(
     let mut pending = pending.into_iter();
     if let Some((request, p)) = pending.next() {
         // The wait for the first response approximates one link round trip
-        // (every later response overlaps with it); its EWMA is what
-        // [`GroupPrefetch::scatter`] consults to decide whether scattering
-        // a group ahead can pay for itself.
+        // (every later response overlaps with it).
         let started = std::time::Instant::now();
         let (owner, correlation) = (p.to(), p.correlation());
         let response = ctx.harvest(p, owner, &request).unwrap_or_else(|e| transport_failed(ctx, e));

@@ -30,15 +30,6 @@ pub(crate) fn demand_wait_histogram() -> &'static Histogram {
     })
 }
 
-/// Wait (µs) to harvest one *prefetched* `fetchV` chunk — the residual
-/// stall the group-ahead pipeline failed to hide.
-pub(crate) fn prefetch_wait_histogram() -> &'static Histogram {
-    static CELL: OnceLock<Histogram> = OnceLock::new();
-    CELL.get_or_init(|| {
-        Registry::global().histogram("rads_fetch_prefetch_wait_us", rads_obs::WAIT_US_BUCKETS)
-    })
-}
-
 /// Live intermediate-result bytes (trie + expansion buffers) sampled at the
 /// end of every R-Meef round.
 pub(crate) fn live_bytes_histogram() -> &'static Histogram {
@@ -103,7 +94,6 @@ pub fn publish_engine_stats(stats: &EngineStats) {
     gauge("rads_cache_peak_bytes").observe_max(stats.cache_peak_bytes);
     gauge("rads_trie_peak_nodes").observe_max(stats.peak_trie_nodes as u64);
     gauge("rads_fetch_demand_wait_ewma_us").observe_max(stats.fetch_wait_micros);
-    gauge("rads_fetch_prefetch_wait_ewma_us").observe_max(stats.prefetch_wait_micros);
     live_bytes_watermark().observe_max(stats.peak_tracked_bytes);
     // stats.rpc_retries is deliberately NOT published here: the resilience
     // counters (rads_rpc_retries_total, rads_reconnects_total, ...) are

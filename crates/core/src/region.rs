@@ -46,9 +46,9 @@ pub fn proximity(adjacency: &[VertexId], group_neighborhood: &HashSet<VertexId>)
 
 /// The members of `group` whose adjacency is *foreign*: not owned by this
 /// machine and not already covered per `cached`. This is the round-0
-/// `fetchV` set of a region group — computed both when a group starts its
-/// first round and, by the async driver, one group ahead so the fetches are
-/// already in flight while the previous group is still expanding. Order is
+/// `fetchV` set of a region group, computed when the group starts its first
+/// round. A machine forms its groups from its own start candidates, so the
+/// set is non-empty only for a group stolen from another machine. Order is
 /// the group's member order; callers sort/dedup as part of batching.
 pub fn foreign_members(
     local: &LocalPartition,

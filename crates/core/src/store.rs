@@ -70,19 +70,10 @@ impl ForeignStore {
     }
 
     /// Takes the most recently returned cache (the warmest: it served the
-    /// latest drain to finish), or a new empty one when none is idle. A
-    /// returned cache starts a new epoch, so what earlier drains left in it
-    /// is there to be hit but does not count against the new drain's
-    /// [`prefetch_quota`](ForeignVertexCache::prefetch_quota).
+    /// latest drain to finish), or a new empty one when none is idle.
     pub fn check_out(&self) -> ForeignVertexCache {
         let idle = self.idle.lock().pop();
-        match idle {
-            Some(mut cache) => {
-                cache.begin_epoch();
-                cache
-            }
-            None => ForeignVertexCache::with_capacity(self.cache_bytes),
-        }
+        idle.unwrap_or_else(|| ForeignVertexCache::with_capacity(self.cache_bytes))
     }
 
     /// Returns a cache taken with [`check_out`](Self::check_out), keeping
@@ -142,20 +133,18 @@ mod tests {
     }
 
     #[test]
-    fn a_full_resident_cache_still_leaves_the_next_drain_room_to_prefetch() {
+    fn a_full_resident_cache_comes_back_whole_and_still_hits() {
         let entry = ForeignVertexCache::entry_bytes(3);
         let store = ForeignStore::new(8 * entry);
         let mut cache = store.check_out();
         for v in 0..8 {
             cache.insert(v, vec![1, 2, 3]);
         }
-        assert_eq!(cache.prefetch_quota(), 0, "the drain that filled it has no room");
         store.check_in(cache);
         let mut cache = store.check_out();
         assert_eq!(cache.len(), 8);
-        assert_eq!(cache.prefetch_quota(), 8, "the next one may displace all of it");
         assert!(cache.get(3).is_some());
-        assert_eq!(cache.prefetch_quota(), 7, "but not what it has used itself");
+        assert_eq!(cache.stats().hits, 1);
     }
 
     #[test]

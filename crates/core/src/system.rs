@@ -98,19 +98,13 @@ pub struct RadsConfig {
     pub steal_granularity: usize,
     /// How each round's `fetchV` / `verifyE` communication is driven:
     /// [`RoundDriver::Async`] (default) scatters all per-owner requests
-    /// concurrently and prefetches the next region group's fetches;
-    /// [`RoundDriver::Serial`] is the paper's blocking loop, kept as the
-    /// differential-testing oracle. Counts and collected embeddings are
-    /// bit-identical between the two (see the engine's
+    /// concurrently; [`RoundDriver::Serial`] is the paper's blocking loop,
+    /// kept as the differential-testing oracle. Counts and collected
+    /// embeddings are bit-identical between the two (see the engine's
     /// [module docs](crate::engine)); only communication-volume counters
     /// may differ. `Default` reads the `RADS_ROUND_DRIVER` environment
     /// variable (see [`crate::engine::ROUND_DRIVER_ENV`]).
     pub round_driver: RoundDriver,
-    /// Vertices per `fetchV` request
-    /// ([`crate::engine::DEFAULT_FETCH_CHUNK_VERTICES`]). Chunking only
-    /// frames the same deterministic request sequence — results are
-    /// identical for any value ≥ 1.
-    pub fetch_chunk_vertices: usize,
 }
 
 impl Default for RadsConfig {
@@ -151,7 +145,6 @@ impl RadsConfig {
             workers: rads_exec::workers_from_env(),
             steal_granularity: rads_exec::DEFAULT_STEAL_GRANULARITY,
             round_driver: RoundDriver::from_env()?,
-            fetch_chunk_vertices: crate::engine::DEFAULT_FETCH_CHUNK_VERTICES,
         })
     }
 
@@ -380,7 +373,6 @@ fn run_rads_on(
         workers: config.workers,
         steal_granularity: config.steal_granularity,
         driver: config.round_driver,
-        fetch_chunk_vertices: config.fetch_chunk_vertices,
     };
 
     let plan_for_engines = plan.clone();

@@ -23,10 +23,8 @@
 //! stealing actually happened, which tests use to prove the pool does more
 //! than decorate a sequential loop.
 
-mod inflight;
 mod pool;
 
-pub use inflight::InflightWindow;
 pub use pool::{parallel_map, scoped_workers, ExecStats};
 
 /// Environment variable consulted by [`workers_from_env`] (and therefore by

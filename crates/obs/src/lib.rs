@@ -52,10 +52,6 @@ pub const FRAME_BYTES_BUCKETS: &[u64] =
 pub const LIVE_BYTES_BUCKETS: &[u64] =
     &[64 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20, 64 << 20, 256 << 20, 1 << 30];
 
-/// Bucket bounds for small-depth histograms such as
-/// `rads_inflight_window_depth`.
-pub const DEPTH_BUCKETS: &[u64] = &[1, 2, 4, 8, 16, 32, 64];
-
 /// Bucket bounds (percent) for ratio histograms such as
 /// `rads_intersect_selectivity_pct`.
 pub const PERCENT_BUCKETS: &[u64] = &[1, 2, 5, 10, 20, 35, 50, 75, 100];

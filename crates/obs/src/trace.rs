@@ -26,9 +26,8 @@
 //!
 //! Span names are short `snake_case` phase names; RPC spans are
 //! `rpc.<request>` (`rpc.fetchV`, `rpc.verifyE`, `rpc.checkR`,
-//! `rpc.shareR`, `rpc.rows`) and prefetch phases are `prefetch.<phase>`.
-//! Categories group spans for trace-viewer filtering: `engine` (phase
-//! spans), `rpc` (transport round trips), `prefetch` (lookahead machinery).
+//! `rpc.shareR`, `rpc.rows`). Categories group spans for trace-viewer
+//! filtering: `engine` (phase spans) and `rpc` (transport round trips).
 //!
 //! # Export
 //!

@@ -66,7 +66,7 @@ fn usage() -> ! {
     eprintln!(
         "usage:\n  rads-node run --machines N --query Q [--transport uds|tcp] [--dataset D]\n\
          \x20          [--scale S] [--seed K] [--workers W] [--budget BYTES]\n\
-         \x20          [--driver serial|async] [--fetch-chunk V] [--no-cache]\n\
+         \x20          [--driver serial|async] [--no-cache]\n\
          \x20          [--trace-out FILE] [--metrics-out FILE]\n\
          \x20          [--fault-policy fail-fast|recover] [--chaos-kill-ms MS]\n\
          \x20          [--timeout-secs T] [--json]\n\
@@ -77,7 +77,7 @@ fn usage() -> ! {
          \x20          [--timeout-secs T]   (resident daemon; query it with rads-query)\n\
          \x20 rads-node worker --machine M --machines N --addrs A0,A1,.. --dataset D\n\
          \x20          --scale S --seed K --query Q [--workers W] [--budget BYTES]\n\
-         \x20          [--driver serial|async] [--fetch-chunk V] [--no-cache]\n\
+         \x20          [--driver serial|async] [--no-cache]\n\
          \x20          [--trace-out FILE] [--metrics-out FILE]\n\
          \x20          [--timeout-secs T]\n\
          \x20 rads-node serve-worker ...   (spawned by serve; worker flags plus\n\
@@ -190,11 +190,6 @@ fn spec_from_flags(flags: &Flags, machines: usize) -> ClusterSpec {
             .unwrap_or_else(|| {
                 RoundDriver::from_env().unwrap_or_else(|e| fail(&e.to_string()))
             }),
-        fetch_chunk: flags.parsed("fetch-chunk").inspect(|&chunk: &usize| {
-            if chunk == 0 {
-                fail("--fetch-chunk must be at least 1");
-            }
-        }),
         cache: !flags.no_cache,
         trace_out,
         metrics_out,

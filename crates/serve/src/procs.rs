@@ -122,10 +122,6 @@ pub struct ClusterSpec {
     /// Round driver (serial oracle vs async scatter/harvest). Forwarded to
     /// workers so all processes run the same engine.
     pub driver: RoundDriver,
-    /// Vertices per `fetchV` request (`None` = the engine default). The
-    /// `overlap` experiment lowers this so a round spans many frames even
-    /// on a same-host socket; results are identical for any value.
-    pub fetch_chunk: Option<usize>,
     /// Cache fetched foreign vertices across rounds and groups (the
     /// engine's `enable_cache`, default true). `--no-cache` reproduces the
     /// paper's communication-heavy regime; counts are identical either way
@@ -256,12 +252,9 @@ pub struct MachineSummary {
     /// Remote requests this process sent.
     pub wire_messages: u64,
     /// EWMA (µs) of the first-response wait after scattering a round's
-    /// *demand* `fetchV` chunks — ≈ one link round trip, and the signal the
-    /// prefetcher consults ([`rads_core::engine::EngineStats::fetch_wait_micros`]).
+    /// *demand* `fetchV` chunks — ≈ one link round trip
+    /// ([`rads_core::engine::EngineStats::fetch_wait_micros`]).
     pub fetch_wait_demand_us: u64,
-    /// EWMA (µs) of the wait to harvest one *prefetched* chunk — the
-    /// residual stall the group-ahead pipeline failed to hide.
-    pub fetch_wait_prefetch_us: u64,
     /// This machine's engine wall-clock in milliseconds.
     pub elapsed_ms: f64,
     /// RPCs this machine transparently re-issued after a transient
@@ -272,7 +265,7 @@ pub struct MachineSummary {
     pub reconnects: u64,
 }
 
-pub(crate) const RESULT_PAYLOAD_BYTES: usize = 76;
+pub(crate) const RESULT_PAYLOAD_BYTES: usize = 68;
 
 pub(crate) fn encode_result(m: &MachineSummary) -> Vec<u8> {
     let mut buf = Vec::with_capacity(RESULT_PAYLOAD_BYTES);
@@ -282,7 +275,6 @@ pub(crate) fn encode_result(m: &MachineSummary) -> Vec<u8> {
     buf.extend_from_slice(&m.wire_bytes.to_le_bytes());
     buf.extend_from_slice(&m.wire_messages.to_le_bytes());
     buf.extend_from_slice(&m.fetch_wait_demand_us.to_le_bytes());
-    buf.extend_from_slice(&m.fetch_wait_prefetch_us.to_le_bytes());
     buf.extend_from_slice(&m.elapsed_ms.to_bits().to_le_bytes());
     buf.extend_from_slice(&m.rpc_retries.to_le_bytes());
     buf.extend_from_slice(&m.reconnects.to_le_bytes());
@@ -305,10 +297,9 @@ pub(crate) fn decode_result(buf: &[u8]) -> Result<MachineSummary, String> {
         wire_bytes: u64_at(20),
         wire_messages: u64_at(28),
         fetch_wait_demand_us: u64_at(36),
-        fetch_wait_prefetch_us: u64_at(44),
-        elapsed_ms: f64::from_bits(u64_at(52)),
-        rpc_retries: u64_at(60),
-        reconnects: u64_at(68),
+        elapsed_ms: f64::from_bits(u64_at(44)),
+        rpc_retries: u64_at(52),
+        reconnects: u64_at(60),
     })
 }
 
@@ -326,7 +317,6 @@ pub(crate) fn machine_summary(
         wire_bytes: wire.total_bytes,
         wire_messages: wire.messages,
         fetch_wait_demand_us: output.stats.fetch_wait_micros,
-        fetch_wait_prefetch_us: output.stats.prefetch_wait_micros,
         elapsed_ms: elapsed.as_secs_f64() * 1000.0,
         rpc_retries: output.stats.rpc_retries,
         reconnects,
@@ -452,7 +442,7 @@ impl ClusterSummary {
                     concat!(
                         "{{\"machine\":{},\"embeddings\":{},\"sme_embeddings\":{},",
                         "\"wire_bytes\":{},\"wire_messages\":{},",
-                        "\"fetch_wait_demand_us\":{},\"fetch_wait_prefetch_us\":{},",
+                        "\"fetch_wait_demand_us\":{},",
                         "\"elapsed_ms\":{:.3},\"rpc_retries\":{},\"reconnects\":{}}}"
                     ),
                     m.machine,
@@ -461,7 +451,6 @@ impl ClusterSummary {
                     m.wire_bytes,
                     m.wire_messages,
                     m.fetch_wait_demand_us,
-                    m.fetch_wait_prefetch_us,
                     m.elapsed_ms,
                     m.rpc_retries,
                     m.reconnects,
@@ -525,7 +514,6 @@ impl ClusterSummary {
                 wire_bytes: m("wire_bytes")?,
                 wire_messages: m("wire_messages")?,
                 fetch_wait_demand_us: m("fetch_wait_demand_us")?,
-                fetch_wait_prefetch_us: m("fetch_wait_prefetch_us")?,
                 elapsed_ms: row
                     .get("elapsed_ms")
                     .and_then(Json::as_f64)
@@ -647,10 +635,6 @@ pub fn worker_args(
     if let Some(budget) = spec.budget {
         args.push("--budget".to_string());
         args.push(budget.to_string());
-    }
-    if let Some(chunk) = spec.fetch_chunk {
-        args.push("--fetch-chunk".to_string());
-        args.push(chunk.to_string());
     }
     if !spec.cache {
         args.push("--no-cache".to_string());
@@ -910,7 +894,6 @@ mod tests {
             wire_bytes: 987654321,
             wire_messages: 4321,
             fetch_wait_demand_us: 640,
-            fetch_wait_prefetch_us: 12,
             elapsed_ms: 15.625,
             rpc_retries: 7,
             reconnects: 2,
@@ -952,7 +935,6 @@ mod tests {
                     wire_bytes: 600,
                     wire_messages: 30,
                     fetch_wait_demand_us: 523,
-                    fetch_wait_prefetch_us: 0,
                     elapsed_ms: 70.125,
                     rpc_retries: 6,
                     reconnects: 1,
@@ -964,7 +946,6 @@ mod tests {
                     wire_bytes: 634,
                     wire_messages: 26,
                     fetch_wait_demand_us: 77,
-                    fetch_wait_prefetch_us: 3,
                     elapsed_ms: 69.0,
                     rpc_retries: 3,
                     reconnects: 2,
@@ -976,8 +957,9 @@ mod tests {
     }
 
     /// `rads-node run --machines 2 --dataset DBLP --scale 0.02 --query q1
-    /// --json`, captured unmodified at the commit before one-shot runs
-    /// became "launch resident, one query, shut down".
+    /// --json`, captured at the commit before one-shot runs became "launch
+    /// resident, one query, shut down", less one per-machine column that has
+    /// since been removed.
     #[test]
     fn cluster_summary_parses_a_line_from_the_one_shot_coordinator() {
         let line = concat!(
@@ -986,10 +968,10 @@ mod tests {
             r#""fault_policy":"fail-fast","resilience":{"rpc_retries":0,"reconnects":0,"#,
             r#""heartbeats_missed":0,"machines_recovered":[],"groups_recovered":0},"metrics":{},"#,
             r#""per_machine":[{"machine":0,"embeddings":886,"sme_embeddings":58,"wire_bytes":1697,"#,
-            r#""wire_messages":3,"fetch_wait_demand_us":1338,"fetch_wait_prefetch_us":0,"#,
+            r#""wire_messages":3,"fetch_wait_demand_us":1338,"#,
             r#""elapsed_ms":6.165,"rpc_retries":0,"reconnects":0},{"machine":1,"embeddings":1169,"#,
             r#""sme_embeddings":116,"wire_bytes":439,"wire_messages":3,"fetch_wait_demand_us":27,"#,
-            r#""fetch_wait_prefetch_us":0,"elapsed_ms":3.633,"rpc_retries":0,"reconnects":0}]}"#,
+            r#""elapsed_ms":3.633,"rpc_retries":0,"reconnects":0}]}"#,
         );
         let summary = ClusterSummary::parse_json(line).expect("parent-commit line parses");
         assert_eq!(summary.total_embeddings, 2055);
@@ -1043,7 +1025,6 @@ mod tests {
             workers: 1,
             budget: None,
             driver: RoundDriver::Async,
-            fetch_chunk: None,
             cache: true,
             trace_out: None,
             metrics_out: None,
@@ -1079,7 +1060,6 @@ mod tests {
             workers: 2,
             budget: Some(65536),
             driver: RoundDriver::Async,
-            fetch_chunk: Some(512),
             cache: false,
             trace_out: Some(PathBuf::from("/tmp/a/trace.json")),
             metrics_out: Some(PathBuf::from("/tmp/a/metrics.json")),
@@ -1100,7 +1080,6 @@ mod tests {
         assert!(joined.contains("--workers 2"));
         assert!(joined.contains("--driver async"));
         assert!(joined.contains("--budget 65536"));
-        assert!(joined.contains("--fetch-chunk 512"));
         assert!(joined.contains("--no-cache"));
         assert!(joined.contains("--max-concurrent-queries 2"));
         assert!(joined.contains("--trace-out /tmp/a/trace.json.m2"));

@@ -676,7 +676,6 @@ impl Machine {
     /// of a `--no-cache` run) only: the resident caches keep the allowance
     /// `foreign` was built with.
     fn engine_config(&self, budget_override: Option<u64>) -> EngineConfig {
-        let default_chunk = EngineConfig::default().fetch_chunk_vertices;
         EngineConfig {
             budget: match budget_override {
                 Some(bytes) => MemoryBudget::from_bytes(bytes as usize),
@@ -685,7 +684,6 @@ impl Machine {
             seed: 42,
             workers: self.spec.workers,
             driver: self.spec.driver,
-            fetch_chunk_vertices: self.spec.fetch_chunk.unwrap_or(default_chunk),
             enable_cache: self.spec.cache,
             ..EngineConfig::default()
         }
@@ -1327,14 +1325,12 @@ fn recover_in_process(
         queries::query_by_name(query).ok_or_else(|| format!("unknown query {query:?}"))?;
     let partitioned = build_partitioned(spec);
     let cluster = rads_runtime::Cluster::with_transport(partitioned, TransportKind::InProcess);
-    let defaults = RadsConfig::default();
     let config = RadsConfig {
         memory_budget: startup_budget(spec),
         workers: spec.workers,
         round_driver: spec.driver,
-        fetch_chunk_vertices: spec.fetch_chunk.unwrap_or(defaults.fetch_chunk_vertices),
         enable_cache: spec.cache,
-        ..defaults
+        ..RadsConfig::default()
     };
     let rebuild_start = Instant::now();
     let outcome = run_rads(&cluster, &pattern, &config);
@@ -1356,7 +1352,6 @@ fn recover_in_process(
             wire_bytes: 0,
             wire_messages: 0,
             fetch_wait_demand_us: report.stats.fetch_wait_micros,
-            fetch_wait_prefetch_us: report.stats.prefetch_wait_micros,
             elapsed_ms: rebuild_ms,
             rpc_retries: report.stats.rpc_retries,
             reconnects: 0,
@@ -1609,7 +1604,6 @@ mod tests {
             wire_bytes: 1024,
             wire_messages: 6,
             fetch_wait_demand_us: 12,
-            fetch_wait_prefetch_us: 3,
             elapsed_ms: 1.5,
             rpc_retries: 0,
             reconnects: 0,

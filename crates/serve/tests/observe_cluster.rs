@@ -117,14 +117,11 @@ fn run_cluster(driver: &str, trace_base: &Path, metrics_base: &Path) -> ClusterS
             "q5",
             "--driver",
             driver,
-            // one worker per machine and small chunks: the serial leg's
-            // trace must be strictly sequential (a second worker's demand
-            // fetches would overlap the first's), and the async leg needs
-            // several chunks per round to have anything to pipeline
+            // one worker per machine: the serial leg's trace must be
+            // strictly sequential (a second worker's demand fetches would
+            // overlap the first's)
             "--workers",
             "1",
-            "--fetch-chunk",
-            "16",
             "--trace-out",
             &trace_base.display().to_string(),
             "--metrics-out",
@@ -204,9 +201,9 @@ fn cluster_traces_show_async_overlap_and_validate() {
                 machines_with_overlap, 0,
                 "serial trace shows overlapping RPCs — the span nesting (or the driver) is wrong"
             ),
-            // scatter issues every chunk before the first harvest, and the
-            // group-ahead prefetch fetches under expansion: some machine
-            // must show it
+            // scatter issues every owner's chunk before the first harvest,
+            // so a round that fetches from several owners has them in
+            // flight at once: some machine must show it
             _ => assert!(
                 machines_with_overlap > 0,
                 "async trace never overlaps an RPC with other work — no pipelining visible"

@@ -8,9 +8,10 @@
 //! same way cannot hide.
 //!
 //! Only communication-volume statistics (cache hits/misses, request
-//! counts, traffic bytes) are allowed to differ between the drivers: the
-//! async driver prefetches one region group ahead, which shifts *when*
-//! adjacency lists are fetched, never *what* is enumerated.
+//! counts, traffic bytes) are allowed to differ between the drivers: with
+//! several workers, which worker's cache an adjacency list lands in depends
+//! on the schedule, which shifts *when* lists are fetched, never *what* is
+//! enumerated.
 
 use std::sync::Arc;
 
