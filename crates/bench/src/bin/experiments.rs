@@ -496,7 +496,7 @@ fn main() {
         );
         println!("dataset\tquery\tsystem\tembeddings\ttime(ms)\toverhead-vs-off");
         // asserts internally that enabling tracing + metrics changes no
-        // embedding count; the committed rows pin the ≤2% overhead budget
+        // embedding count; the timings are a coarse minimum of `--reps` runs
         let rows = observe_overhead(
             DatasetKind::LiveJournal,
             opts.scale,

@@ -581,9 +581,12 @@ pub fn validate_metrics_json(text: &str) -> Result<usize, String> {
 /// the fastest rep per leg is recorded (minimum, not mean: noise only adds
 /// time). Panics if enabling observability changes any embedding count —
 /// the *no-perturbation* contract: spans and metric recordings must never
-/// influence enumeration order or results. The committed rows pin the
-/// overhead budget (≤2% on the enabled leg) that keeps the instrumentation
-/// shippable in release builds.
+/// influence enumeration order or results. That assert is the experiment's
+/// only check. The rows record, per leg, the minimum of `reps` runs of one
+/// in-process query of about 80 ms (q8 at the default scale): too coarse to
+/// resolve a difference of a few percent, so they show the order of the
+/// overhead, not a budget (the committed q8 rows differ by 12 %, the q5
+/// rows by −3 %).
 ///
 /// Trace buffers and the metrics registry are drained and reset between
 /// reps so the enabled leg measures steady-state recording, not unbounded

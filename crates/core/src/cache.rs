@@ -20,9 +20,7 @@
 //! it. On a resident machine that is the life of the process, so caches are
 //! kept between queries by a [`crate::store::ForeignStore`].
 
-use std::collections::HashMap;
-
-use rads_graph::VertexId;
+use rads_graph::{VertexId, VertexMap};
 
 /// Hit/miss/eviction counters of a [`ForeignVertexCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -69,7 +67,7 @@ struct Entry {
 #[derive(Debug, Clone)]
 pub struct ForeignVertexCache {
     /// Vertex → slot of its entry.
-    index: HashMap<VertexId, u32>,
+    index: VertexMap<u32>,
     /// Entry storage; slots named by `free` are vacant.
     slots: Vec<Entry>,
     free: Vec<u32>,
@@ -107,7 +105,7 @@ impl ForeignVertexCache {
     /// bytes at or below `capacity_bytes`.
     pub fn with_capacity(capacity_bytes: usize) -> Self {
         ForeignVertexCache {
-            index: HashMap::new(),
+            index: VertexMap::default(),
             slots: Vec::new(),
             free: Vec::new(),
             head: NIL,

@@ -138,7 +138,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 
 use parking_lot::Mutex;
 use rads_exec::{scoped_workers, ExecConfig};
-use rads_graph::{Pattern, PatternVertex, SymmetryBreaking, VertexId};
+use rads_graph::{Pattern, PatternVertex, SymmetryBreaking, VertexId, VertexMap, VertexSet};
 use rads_graph::types::EdgeKey;
 use rads_partition::LocalPartition;
 use rads_plan::ExecutionPlan;
@@ -1379,11 +1379,11 @@ struct Frontier<'a> {
     /// candidate first.
     deposits: Vec<Vec<VertexId>>,
     /// Embeddings completed depth-first, per start candidate.
-    found: HashMap<VertexId, u64>,
+    found: VertexMap<u64>,
     /// The completed embeddings themselves, when collected.
     collected: Vec<Vec<VertexId>>,
     /// The trie root of each start candidate that has been given one.
-    roots: HashMap<VertexId, NodeId>,
+    roots: VertexMap<NodeId>,
     /// Deposits ever made, shed ones included.
     deposited: u64,
     /// Whole-rest attempts that gave up, shed candidates' included.
@@ -1399,9 +1399,9 @@ impl<'a> Frontier<'a> {
             order: plan.matching_order(),
             widths,
             deposits: vec![Vec::new(); plan.rounds()],
-            found: HashMap::new(),
+            found: VertexMap::default(),
             collected: Vec::new(),
-            roots: HashMap::new(),
+            roots: VertexMap::default(),
             deposited: 0,
             abandoned: 0,
         }
@@ -1469,7 +1469,7 @@ impl<'a> Frontier<'a> {
     /// their deposits for later rounds, counts and collected embeddings.
     /// (Their deposits for `round` are in the trie, under the shed roots.)
     fn shed(&mut self, candidates: &[VertexId], round: usize) {
-        let shed: HashSet<VertexId> = candidates.iter().copied().collect();
+        let shed: VertexSet = candidates.iter().copied().collect();
         for later in round + 1..self.deposits.len() {
             let width = self.widths[later];
             self.deposits[later] = self.deposits[later]

@@ -20,6 +20,14 @@
 //! intersection of every matched neighbour's known list, with no pivot that
 //! must seed them. That is the engine's depth-first descent
 //! ([`Expander::expand_strict`] with a counting [`Sink`]).
+//!
+//! A strict counting expansion counts its last vertex instead of walking its
+//! candidates, when every pattern neighbour of that vertex is a back edge
+//! (always so in a [`UnitExpansion::from_order`] context) and every back
+//! edge's list is known: the extensions are the intersection's candidates
+//! inside the open interval symmetry breaking allows, less the matched
+//! vertices among them. That is sound without the degree filter, because
+//! each candidate is adjacent to `deg(u)` distinct matched vertices already.
 
 use rads_graph::intersect::{intersect_k_into, IntersectStats};
 use rads_graph::{Pattern, PatternVertex, SymmetryBreaking, VertexId};
@@ -414,6 +422,21 @@ impl Expander {
             }
         };
 
+        // A strict counting expansion counts its last vertex's candidates
+        // instead of walking them, when every pattern neighbour of that
+        // vertex is a back edge with a known list: see `count_last`.
+        if STRICT
+            && !self.out.store
+            && idx + 1 == ctx.leaves.len()
+            && probe.is_empty()
+            && ctx.back_edges[idx].len() == ctx.pattern.degree(u)
+        {
+            self.out.len += count_last(ctx.symmetry, u, candidates, f);
+            self.bufs[idx] = buf;
+            self.probes[idx] = probe;
+            return true;
+        }
+
         let mut complete = true;
         'candidates: for &v in candidates {
             // injectivity against every matched query vertex
@@ -459,6 +482,26 @@ impl Expander {
         self.probes[idx] = probe;
         complete
     }
+}
+
+/// The number of extensions the per-candidate walk would find at the last
+/// vertex `u`, whose sorted `candidates` are already refuted by no back edge:
+/// those inside the open interval symmetry breaking allows `u`, less the
+/// matched vertices in it (injectivity). The degree filter drops nothing
+/// here: every pattern neighbour of `u` is a back edge, so each candidate is
+/// adjacent to `deg(u)` distinct matched vertices.
+fn count_last(
+    symmetry: &SymmetryBreaking,
+    u: PatternVertex,
+    candidates: &[VertexId],
+    f: &[Option<VertexId>],
+) -> usize {
+    let (lo, hi) = symmetry.bounds(u, f);
+    let start = lo.map_or(0, |lo| candidates.partition_point(|&v| v <= lo));
+    let end = hi.map_or(candidates.len(), |hi| candidates.partition_point(|&v| v < hi));
+    let allowed = &candidates[start..end.max(start)];
+    let matched = f.iter().flatten().filter(|v| allowed.binary_search(v).is_ok()).count();
+    allowed.len() - matched
 }
 
 /// One-shot convenience over [`Expander::expand`] returning owned
@@ -788,10 +831,11 @@ mod tests {
 
     /// Matches the rest of the pattern below the parent in `f` at `round`
     /// one vertex at a time in `order`, checks it against unit-by-unit
-    /// expansion (stored and counted), then recurses into every parent of
-    /// the next round. Returns the parents checked.
+    /// expansion (stored and counted) and the round's unit counted against
+    /// it stored, then recurses into every parent of the next round. Returns
+    /// the parents checked.
     fn check_whole_rest(
-        plan: &ExecutionPlan,
+        symmetry: &SymmetryBreaking,
         units: &[UnitExpansion<'_>],
         order: &[PatternVertex],
         round: usize,
@@ -799,10 +843,9 @@ mod tests {
         oracle: &MapOracle,
         whole: &mut Expander,
     ) -> usize {
-        let pattern = plan.pattern();
-        let symmetry = SymmetryBreaking::new(pattern);
+        let pattern = units[0].pattern;
         let rest: Vec<PatternVertex> = order.iter().copied().filter(|&u| f[u].is_none()).collect();
-        let ctx = UnitExpansion::from_order(pattern, &symmetry, rest);
+        let ctx = UnitExpansion::from_order(pattern, symmetry, rest);
         let before = f.to_vec();
         let mut expected = Vec::new();
         complete_by_units(units, round, f, oracle, &mut expected);
@@ -828,20 +871,61 @@ mod tests {
         let counted = whole.expand_strict(&ctx, f, oracle, Sink::Count).expect("known").len();
         assert_eq!(counted, expected.len());
         assert_eq!(whole.memory_bytes(), 0, "a counting sink stores nothing");
+        // the round's unit alone, counted strictly: its last leaf is counted
+        // in bulk only where all of its pattern neighbours are matched
+        let extensions = Expander::new().expand(&units[round], f, oracle).to_extensions();
+        let unit_counted =
+            whole.expand_strict(&units[round], f, oracle, Sink::Count).expect("known").len();
+        assert_eq!(unit_counted, extensions.len(), "round {round} unit, parent {before:?}");
         let mut checked = 1;
         if round + 1 < units.len() {
-            let extensions = Expander::new().expand(&units[round], f, oracle).to_extensions();
             for extension in extensions {
                 for (&u, &v) in units[round].leaves().iter().zip(&extension.leaves) {
                     f[u] = Some(v);
                 }
-                checked += check_whole_rest(plan, units, order, round + 1, f, oracle, whole);
+                checked += check_whole_rest(symmetry, units, order, round + 1, f, oracle, whole);
                 for &u in units[round].leaves() {
                     f[u] = None;
                 }
             }
         }
         checked
+    }
+
+    /// Checks whole-rest matching against unit-by-unit expansion for every
+    /// query of q1–q8 and c1–c4, in the plan's and the greedy order, below
+    /// every parent of every round from each vertex of `starts`.
+    fn check_whole_rest_for_every_query(oracle: &MapOracle, starts: &[VertexId], symmetric: bool) {
+        let mut whole = Expander::new();
+        let mut patterns = queries::standard_query_set();
+        patterns.extend(queries::clique_query_set());
+        for query in patterns {
+            let pattern = &query.pattern;
+            let plan = best_plan(pattern, &PlannerConfig::default());
+            let symmetry = if symmetric {
+                SymmetryBreaking::new(pattern)
+            } else {
+                SymmetryBreaking::disabled(pattern)
+            };
+            let units: Vec<UnitExpansion<'_>> = (0..plan.rounds())
+                .map(|round| UnitExpansion::new(pattern, &plan, &symmetry, round))
+                .collect();
+            let greedy = rads_single::MatchingOrder::greedy_from(pattern, plan.start_vertex());
+            for order in [plan.matching_order(), greedy.order()] {
+                let mut checked = 0;
+                for &start in starts {
+                    let mut f = vec![None; pattern.vertex_count()];
+                    f[plan.start_vertex()] = Some(start);
+                    checked +=
+                        check_whole_rest(&symmetry, &units, order, 0, &mut f, oracle, &mut whole);
+                }
+                assert!(
+                    plan.rounds() == 1 || checked > starts.len(),
+                    "{}: no parent beyond round 0 was checked",
+                    query.name
+                );
+            }
+        }
     }
 
     #[test]
@@ -851,31 +935,78 @@ mod tests {
             .collect();
         let all: Vec<VertexId> = (0..16).collect();
         let oracle = MapOracle::from_edges(&all, &edges);
-        let mut whole = Expander::new();
-        let mut patterns = queries::standard_query_set();
-        patterns.extend(queries::clique_query_set());
-        for query in patterns {
-            let pattern = &query.pattern;
-            let plan = best_plan(pattern, &PlannerConfig::default());
-            let symmetry = SymmetryBreaking::new(pattern);
-            let units: Vec<UnitExpansion<'_>> = (0..plan.rounds())
-                .map(|round| UnitExpansion::new(pattern, &plan, &symmetry, round))
-                .collect();
-            let greedy = rads_single::MatchingOrder::greedy_from(pattern, plan.start_vertex());
-            for order in [plan.matching_order(), greedy.order()] {
-                let mut checked = 0;
-                for start in all.iter().copied() {
-                    let mut f = vec![None; pattern.vertex_count()];
-                    f[plan.start_vertex()] = Some(start);
-                    checked += check_whole_rest(&plan, &units, order, 0, &mut f, &oracle, &mut whole);
-                }
-                assert!(
-                    plan.rounds() == 1 || checked > all.len(),
-                    "{}: no parent beyond round 0 was checked",
-                    query.name
-                );
+        check_whole_rest_for_every_query(&oracle, &all, true);
+    }
+
+    /// The counted last vertex of a whole-rest attempt, on irregular graphs
+    /// (where the degree filter of the unit-by-unit reference prunes), with
+    /// symmetry breaking on and off. On an oracle that knows only part of the
+    /// graph, an attempt whose last vertex has an unknown back edge still
+    /// gives up, counted or stored, and one that completes counts what the
+    /// fully known graph has below its parent.
+    #[test]
+    fn counted_last_vertex_equals_unit_by_unit_expansion_on_irregular_graphs() {
+        for seed in [1, 2, 3] {
+            let graph = rads_graph::generators::erdos_renyi(20, 0.3, seed);
+            let degrees: Vec<usize> = graph.vertices().map(|v| graph.degree(v)).collect();
+            assert!(degrees.iter().min() < degrees.iter().max(), "seed {seed}: a regular graph");
+            let edges: Vec<(VertexId, VertexId)> = graph.edges().collect();
+            let all: Vec<VertexId> = graph.vertices().collect();
+            let oracle = MapOracle::from_edges(&all, &edges);
+            for symmetric in [true, false] {
+                check_whole_rest_for_every_query(&oracle, &all, symmetric);
             }
+
+            let known: Vec<VertexId> = all.iter().copied().filter(|v| v % 3 != 0).collect();
+            let partial = MapOracle::from_edges(&known, &edges);
+            let (mut gave_up, mut completed) = (0, 0);
+            let mut expander = Expander::new();
+            for query in [queries::q1(), queries::q4(), queries::c1()] {
+                let plan = best_plan(&query, &PlannerConfig::default());
+                let symmetry = SymmetryBreaking::new(&query);
+                let units: Vec<UnitExpansion<'_>> = (0..plan.rounds())
+                    .map(|round| UnitExpansion::new(&query, &plan, &symmetry, round))
+                    .collect();
+                let rest: Vec<PatternVertex> = plan.matching_order()[1..].to_vec();
+                let ctx = UnitExpansion::from_order(&query, &symmetry, rest);
+                for &start in &known {
+                    let mut f = vec![None; query.vertex_count()];
+                    f[plan.start_vertex()] = Some(start);
+                    let [stored, counted] = [Sink::Store, Sink::Count]
+                        .map(|sink| expander.expand_strict(&ctx, &mut f, &partial, sink).map(|b| b.len()));
+                    assert_eq!(counted, stored, "seed {seed}, {query:?}, start {start}");
+                    let Some(counted) = counted else {
+                        gave_up += 1;
+                        continue;
+                    };
+                    completed += 1;
+                    let mut expected = Vec::new();
+                    complete_by_units(&units, 0, &mut f, &oracle, &mut expected);
+                    assert_eq!(counted, expected.len(), "seed {seed}, {query:?}, start {start}");
+                }
+            }
+            assert!(gave_up > 0 && completed > 0, "seed {seed}: {gave_up} gave up, {completed} done");
         }
+
+        // the last vertex of a triangle below 0 and 2 has the back edge to
+        // vertex 2, whose list is unknown: the first candidate the known
+        // lists cannot decide ends the attempt, counted as well as stored
+        let edges: Vec<(VertexId, VertexId)> =
+            (0..6).flat_map(|a| (a + 1..6).map(move |b| (a, b))).collect();
+        let oracle = MapOracle::from_edges(&[0, 1], &edges);
+        let pattern = queries::query_by_name("triangle").unwrap();
+        let symmetry = SymmetryBreaking::disabled(&pattern);
+        let ctx = UnitExpansion::from_order(&pattern, &symmetry, vec![2]);
+        let mut f = vec![Some(0), Some(2), None];
+        let mut expander = Expander::new();
+        for sink in [Sink::Store, Sink::Count] {
+            assert!(expander.expand_strict(&ctx, &mut f, &oracle, sink).is_none(), "{sink:?}");
+            assert_eq!(f, vec![Some(0), Some(2), None]);
+        }
+        // below 0 and 1 both lists are known: the four other vertices count
+        let mut f = vec![Some(0), Some(1), None];
+        let counted = expander.expand_strict(&ctx, &mut f, &oracle, Sink::Count).map(|b| b.len());
+        assert_eq!(counted, Some(4));
     }
 
     #[test]

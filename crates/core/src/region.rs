@@ -14,13 +14,13 @@
 //! order (see [`find_region_groups`] for the exact tie rule;
 //! `tests/region_grouping.rs` keeps the rescan as the oracle).
 
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashSet};
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use rads_graph::VertexId;
+use rads_graph::{VertexId, VertexMap};
 use rads_partition::LocalPartition;
 
 use crate::memory::{MemoryBudget, SpaceEstimator};
@@ -125,7 +125,7 @@ fn proximity_groups(
 ) -> Vec<Vec<VertexId>> {
     let n = order.len();
     // slot i is order[i]; its neighbours as dense ids in `nbrs[start[i]..start[i + 1]]`
-    let mut dense: HashMap<VertexId, u32> = HashMap::new();
+    let mut dense: VertexMap<u32> = VertexMap::default();
     let mut start = Vec::with_capacity(n + 1);
     let mut nbrs: Vec<u32> = Vec::new();
     start.push(0);

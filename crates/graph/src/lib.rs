@@ -21,6 +21,8 @@
 //! * [`intersect`] — multi-way sorted-set intersection kernels (linear merge,
 //!   galloping, adaptive k-way) used by the enumeration engines for
 //!   intersection-based candidate generation.
+//! * [`hash`] — [`VertexMap`] and [`VertexSet`], hash containers keyed by
+//!   vertex id with a multiplicative hasher in place of SipHash.
 //! * [`io`] — the plain-text adjacency-list format used by the paper for
 //!   on-disk graphs.
 //!
@@ -31,6 +33,7 @@ pub mod algorithms;
 pub mod builder;
 pub mod csr;
 pub mod generators;
+pub mod hash;
 pub mod intersect;
 pub mod io;
 pub mod metrics;
@@ -41,6 +44,7 @@ pub mod types;
 
 pub use builder::GraphBuilder;
 pub use csr::Graph;
+pub use hash::{VertexMap, VertexSet};
 pub use intersect::IntersectStats;
 pub use pattern::{Pattern, PatternBuilder};
 pub use queries::{clique_query_set, standard_query_set, NamedQuery};

@@ -122,6 +122,29 @@ impl SymmetryBreaking {
         }
         true
     }
+
+    /// The open interval `(lo, hi)` of data vertices that the constraints
+    /// involving `u` allow it, given the partial assignment `assigned`:
+    /// `lo` is the largest `f(a)` over matched `a` with `f(a) < f(u)`, `hi`
+    /// the smallest `f(b)` over matched `b` with `f(u) < f(b)`, and either is
+    /// `None` when no such constraint has a matched endpoint.
+    pub fn bounds(
+        &self,
+        u: PatternVertex,
+        assigned: &[Option<VertexId>],
+    ) -> (Option<VertexId>, Option<VertexId>) {
+        // constraints u < b
+        let hi = self.constraints[u].iter().filter_map(|&b| assigned[b]).min();
+        // constraints a < u
+        let lo = self
+            .constraints
+            .iter()
+            .enumerate()
+            .filter(|&(a, list)| a != u && list.contains(&u))
+            .filter_map(|(a, _)| assigned[a])
+            .max();
+        (lo, hi)
+    }
 }
 
 /// All automorphisms of the pattern, each as a permutation `perm[u] = image`.
@@ -275,6 +298,28 @@ mod tests {
             assigned[u] = Some(mapping[u]);
         }
         assert_eq!(full, partial_ok);
+    }
+
+    #[test]
+    fn bounds_admit_exactly_what_partial_checks_admit() {
+        for p in [queries::q1(), queries::q8(), queries::c1()] {
+            let sb = SymmetryBreaking::new(&p);
+            let n = p.vertex_count();
+            // every vertex but `u` matched, to distinct even ids, in a few orders
+            for u in 0..n {
+                for shift in 0..n {
+                    let assigned: Vec<Option<VertexId>> = (0..n)
+                        .map(|w| (w != u).then_some(2 * ((w + shift) % n) as VertexId))
+                        .collect();
+                    let (lo, hi) = sb.bounds(u, &assigned);
+                    for v in 0..2 * n as VertexId {
+                        let inside = lo.is_none_or(|lo| v > lo) && hi.is_none_or(|hi| v < hi);
+                        let checked = sb.check_partial(u, v, &assigned);
+                        assert_eq!(inside, checked, "u {u}, v {v}, {assigned:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

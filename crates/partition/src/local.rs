@@ -1,9 +1,8 @@
 //! One machine's view of the partitioned data graph.
 
-use std::collections::HashMap;
 use std::sync::OnceLock;
 
-use rads_graph::{Graph, GraphBuilder, VertexId};
+use rads_graph::{Graph, GraphBuilder, VertexId, VertexMap};
 
 use crate::partitioning::{MachineId, Partitioning};
 
@@ -23,7 +22,7 @@ pub struct LocalPartition {
     /// Owned vertices in increasing global id order.
     owned: Vec<VertexId>,
     /// Global id -> index into `owned` / `offsets`.
-    local_index: HashMap<VertexId, u32>,
+    local_index: VertexMap<u32>,
     /// CSR over the owned vertices; neighbour ids are global.
     offsets: Vec<usize>,
     neighbors: Vec<VertexId>,
@@ -43,7 +42,7 @@ impl LocalPartition {
     /// Builds machine `machine`'s partition of `graph` under `partitioning`.
     pub fn build(graph: &Graph, partitioning: &Partitioning, machine: MachineId) -> Self {
         let owned = partitioning.owned_vertices(machine);
-        let mut local_index = HashMap::with_capacity(owned.len());
+        let mut local_index = VertexMap::with_capacity_and_hasher(owned.len(), Default::default());
         for (i, &v) in owned.iter().enumerate() {
             local_index.insert(v, i as u32);
         }
@@ -81,7 +80,7 @@ impl LocalPartition {
 
     fn compute_border_distance(
         owned: &[VertexId],
-        local_index: &HashMap<VertexId, u32>,
+        local_index: &VertexMap<u32>,
         offsets: &[usize],
         neighbors: &[VertexId],
         is_border: &[bool],
