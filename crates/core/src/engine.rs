@@ -82,10 +82,11 @@
 //! plan's Definition-10 order visits half the greedy order's search nodes
 //! on the 5-cycle of the LiveJournal stand-in, the greedy order a fifth of
 //! the plan's on K3,3 there and on the 6-cycle of the RoadNet stand-in. So
-//! each machine measures: once per pattern it runs the single enumerator in
-//! both orders over the same sample of its own start candidates and keeps
-//! the one that visits fewer nodes ([`crate::sme::choose_descent_order`],
-//! cached in the [`ForeignStore`]). SM-E matches in the same order.
+//! each machine measures: once per pattern it counts, with the descent's own
+//! [`Expander`], both orders below the same sample of its own start
+//! candidates and keeps the one that visits fewer nodes
+//! ([`crate::sme::choose_descent_order`], cached in the [`ForeignStore`]).
+//! SM-E matches in the same order, with the same kernel.
 //!
 //! **What the attempts cost.** On a warm resident machine nearly every
 //! attempt completes: the machine enumerates like a single-machine

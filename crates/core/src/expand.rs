@@ -19,7 +19,8 @@
 //! ([`UnitExpansion::from_order`]): a vertex's candidates are then the
 //! intersection of every matched neighbour's known list, with no pivot that
 //! must seed them. That is the engine's depth-first descent
-//! ([`Expander::expand_strict`] with a counting [`Sink`]).
+//! ([`Expander::expand_strict`] with a counting [`Sink`]), and SM-E's whole
+//! search on a machine's owned subgraph ([`crate::sme`]).
 //!
 //! A strict counting expansion counts its last vertex instead of walking its
 //! candidates, when every pattern neighbour of that vertex is a back edge
@@ -30,7 +31,7 @@
 //! each candidate is adjacent to `deg(u)` distinct matched vertices already.
 
 use rads_graph::intersect::{intersect_k_into, IntersectStats};
-use rads_graph::{Pattern, PatternVertex, SymmetryBreaking, VertexId};
+use rads_graph::{Graph, Pattern, PatternVertex, SymmetryBreaking, VertexId};
 use rads_plan::ExecutionPlan;
 
 /// Read-only access to adjacency lists the machine can see: owned vertices
@@ -47,6 +48,20 @@ pub trait AdjacencyOracle {
             return Some(adj.binary_search(&v).is_ok());
         }
         self.adjacency(v).map(|adj| adj.binary_search(&u).is_ok())
+    }
+}
+
+/// A whole graph as an oracle: every list is known. SM-E runs on a
+/// machine's owned induced subgraph ([`rads_partition::LocalPartition::owned_graph`]),
+/// whose lists hold only the owned neighbours, not the full adjacency the
+/// trait otherwise asks for. That suffices there: by Proposition 1, every
+/// embedding rooted at an SM-E start candidate lies inside the owned
+/// vertices, so each edge it needs is in the induced subgraph, and each of
+/// its vertices has at least its query vertex's degree there, which keeps
+/// the degree filter sound.
+impl AdjacencyOracle for Graph {
+    fn adjacency(&self, v: VertexId) -> Option<&[VertexId]> {
+        Some(self.neighbors(v))
     }
 }
 
@@ -290,6 +305,9 @@ pub struct Expander {
     undetermined: Vec<(VertexId, VertexId)>,
     /// Intersection-kernel counters, accumulated over the expander's life.
     intersect_stats: IntersectStats,
+    /// Search-tree nodes, accumulated over the expander's life: see
+    /// [`search_nodes`](Self::search_nodes).
+    search_nodes: u64,
 }
 
 impl Expander {
@@ -301,6 +319,14 @@ impl Expander {
     /// Intersection-kernel counters accumulated since construction.
     pub fn intersect_stats(&self) -> &IntersectStats {
         &self.intersect_stats
+    }
+
+    /// Search-tree nodes visited since construction: one per vertex placed,
+    /// and one per extension of a last vertex counted in bulk, so a
+    /// [`Sink::Count`] and a [`Sink::Store`] expansion of the same parent
+    /// visit the same number. The parent's own vertices are not included.
+    pub fn search_nodes(&self) -> u64 {
+        self.search_nodes
     }
 
     /// Live bytes of the current extension output (see
@@ -431,7 +457,9 @@ impl Expander {
             && probe.is_empty()
             && ctx.back_edges[idx].len() == ctx.pattern.degree(u)
         {
-            self.out.len += count_last(ctx.symmetry, u, candidates, f);
+            let counted = count_last(ctx.symmetry, u, candidates, f);
+            self.out.len += counted;
+            self.search_nodes += counted as u64;
             self.bufs[idx] = buf;
             self.probes[idx] = probe;
             return true;
@@ -469,6 +497,7 @@ impl Expander {
             }
             f[u] = Some(v);
             self.leaves_assigned.push(v);
+            self.search_nodes += 1;
             complete = self.backtrack::<STRICT, O>(ctx, idx + 1, f, oracle);
             self.leaves_assigned.pop();
             f[u] = None;
@@ -850,10 +879,12 @@ mod tests {
         let mut expected = Vec::new();
         complete_by_units(units, round, f, oracle, &mut expected);
         expected.sort();
+        let nodes_before = whole.search_nodes();
         let stored = whole
             .expand_strict(&ctx, f, oracle, Sink::Store)
             .expect("nothing is unknown on a fully known graph")
             .to_extensions();
+        let stored_nodes = whole.search_nodes() - nodes_before;
         assert_eq!(f, &before[..], "f not restored");
         let mut found: Vec<Vec<VertexId>> = stored
             .iter()
@@ -870,6 +901,10 @@ mod tests {
         assert_eq!(found, expected, "{pattern:?}, order {order:?}, parent {before:?}");
         let counted = whole.expand_strict(&ctx, f, oracle, Sink::Count).expect("known").len();
         assert_eq!(counted, expected.len());
+        // the counted last vertex adds what walking it would have placed
+        let counted_nodes = whole.search_nodes() - nodes_before - stored_nodes;
+        assert_eq!(counted_nodes, stored_nodes, "{pattern:?}, order {order:?}, parent {before:?}");
+        assert!(stored_nodes >= expected.len() as u64, "one node per embedding at least");
         assert_eq!(whole.memory_bytes(), 0, "a counting sink stores nothing");
         // the round's unit alone, counted strictly: its last leaf is counted
         // in bulk only where all of its pattern neighbours are matched
@@ -940,7 +975,8 @@ mod tests {
 
     /// The counted last vertex of a whole-rest attempt, on irregular graphs
     /// (where the degree filter of the unit-by-unit reference prunes), with
-    /// symmetry breaking on and off. On an oracle that knows only part of the
+    /// symmetry breaking on and off; it adds to the search-node total what
+    /// the stored walk places. On an oracle that knows only part of the
     /// graph, an attempt whose last vertex has an unknown back edge still
     /// gives up, counted or stored, and one that completes counts what the
     /// fully known graph has below its parent.
@@ -972,9 +1008,17 @@ mod tests {
                 for &start in &known {
                     let mut f = vec![None; query.vertex_count()];
                     f[plan.start_vertex()] = Some(start);
-                    let [stored, counted] = [Sink::Store, Sink::Count]
-                        .map(|sink| expander.expand_strict(&ctx, &mut f, &partial, sink).map(|b| b.len()));
+                    let [(stored, stored_nodes), (counted, counted_nodes)] =
+                        [Sink::Store, Sink::Count].map(|sink| {
+                            let before = expander.search_nodes();
+                            let found = expander.expand_strict(&ctx, &mut f, &partial, sink);
+                            (found.map(|b| b.len()), expander.search_nodes() - before)
+                        });
                     assert_eq!(counted, stored, "seed {seed}, {query:?}, start {start}");
+                    assert_eq!(
+                        counted_nodes, stored_nodes,
+                        "seed {seed}, {query:?}, start {start}"
+                    );
                     let Some(counted) = counted else {
                         gave_up += 1;
                         continue;

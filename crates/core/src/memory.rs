@@ -4,8 +4,10 @@
 //! (stored in the embedding trie) and the fetched foreign vertices. The paper
 //! estimates the space of a region group from the *average embedding-trie
 //! node count per start candidate*, measured for free while SM-E runs its
-//! backtracking search (the sum of candidates matched at every recursive step
-//! equals the trie node count of the local embeddings). Fetched foreign
+//! backtracking search (the start candidates plus the vertices its
+//! [`Expander`](crate::expand::Expander) places,
+//! [`search_nodes`](crate::expand::Expander::search_nodes), equal the trie
+//! node count of the local embeddings). Fetched foreign
 //! vertices get a separate small allowance and can be evicted, so they are
 //! excluded from the group estimate, just as in the paper.
 //!

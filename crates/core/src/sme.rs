@@ -3,9 +3,13 @@
 //! By Proposition 1, any embedding that maps the start query vertex to a data
 //! vertex whose border distance is at least the span of the start vertex lies
 //! entirely inside the local partition. Those start candidates are therefore
-//! processed with the single-machine enumerator over the induced subgraph of
-//! the machine's owned vertices, without any communication; the remaining
-//! candidates are handed to the distributed R-Meef phase.
+//! processed over the induced subgraph of the machine's owned vertices,
+//! without any communication; the remaining candidates are handed to the
+//! distributed R-Meef phase. The kernel is the engine's own backtracker: one
+//! [`Expander::expand_strict`] per start candidate matches the rest of the
+//! order one vertex at a time ([`UnitExpansion::from_order`]), with the
+//! owned graph as its [`AdjacencyOracle`](crate::expand::AdjacencyOracle),
+//! exactly as the depth-first descent does on the engine's known lists.
 //!
 //! Since every start candidate roots an independent search tree, the phase
 //! parallelizes trivially: the candidate list is cut into work units of
@@ -13,14 +17,13 @@
 //! Per-unit embeddings and statistics are merged back **in unit order**, so
 //! the outcome is bit-identical for every worker count.
 
-use std::ops::Range;
-
 use rads_exec::{parallel_map, ExecConfig};
-use rads_graph::{Pattern, VertexId};
+use rads_graph::{Graph, Pattern, PatternVertex, SymmetryBreaking, VertexId};
 use rads_partition::LocalPartition;
 use rads_plan::ExecutionPlan;
-use rads_single::{EnumerationStats, Enumerator, MatchingOrder, SharedRun};
+use rads_single::MatchingOrder;
 
+use crate::expand::{Expander, ExtensionBuffer, Sink, UnitExpansion};
 use crate::memory::SpaceEstimator;
 
 /// Outcome of the SM-E phase on one machine.
@@ -42,8 +45,9 @@ pub struct SmeResult {
     pub trie_nodes: u64,
 }
 
-/// Runs SM-E on one machine in the single enumerator's greedy order from
-/// the plan's start vertex, counting only; see [`run_sme_in_order`].
+/// Runs SM-E on one machine in the greedy order
+/// ([`MatchingOrder::greedy_from`]) from the plan's start vertex, counting
+/// only; see [`run_sme_in_order`].
 pub fn run_sme(
     local: &LocalPartition,
     pattern: &Pattern,
@@ -106,54 +110,83 @@ pub fn run_sme_in_order(
         };
     }
 
+    let graph = local.owned_graph();
     let global_of_dense = local.owned_vertices();
     let dense_candidates = dense_ids(local, &local_cands);
-    // Matching order, symmetry constraints and filter thresholds are derived
-    // once per machine run and shared (borrowed) by every work unit — a unit
-    // is only `steal_granularity` start candidates, far too small to amortize
-    // re-deriving them.
-    let shared = SharedRun::new(pattern, order.clone(), false);
-    let enumerator = Enumerator::new(local.owned_graph(), pattern);
+    // The rest of the order, its back edges and the symmetry constraints are
+    // derived once per machine run and shared (borrowed) by every work unit
+    // — a unit is only `steal_granularity` start candidates, far too small
+    // to amortize re-deriving them.
+    let symmetry = SymmetryBreaking::new(pattern);
+    let rest = UnitExpansion::from_order(pattern, &symmetry, order.order()[1..].to_vec());
+    let sink = if collect { Sink::Store } else { Sink::Count };
 
-    // One work unit per `steal_granularity` start candidates; each unit runs
-    // the enumerator over its own sub-range of the shared (borrowed, never
-    // cloned) candidate list. Sub-ranges are taken before the per-vertex
-    // filters, so the units partition the result set exactly.
-    let granularity = exec.effective_granularity();
-    let units: Vec<Range<usize>> = (0..dense_candidates.len())
-        .step_by(granularity)
-        .map(|lo| lo..(lo + granularity).min(dense_candidates.len()))
-        .collect();
+    // One work unit per `steal_granularity` start candidates, each a slice of
+    // the shared candidate list, so the units partition the result set.
+    let units: Vec<&[VertexId]> =
+        dense_candidates.chunks(exec.effective_granularity()).collect();
     let unit_exec = ExecConfig { workers: exec.effective_workers(), steal_granularity: 1 };
-    let (unit_results, _) = parallel_map(&unit_exec, &units, |_, _, range| {
+    let (unit_results, _) = parallel_map(&unit_exec, &units, |_, _, unit| {
         let mut embeddings: Vec<Vec<VertexId>> = Vec::new();
-        let stats =
-            enumerator.run_units(&shared, &dense_candidates, Some(range.clone()), |mapping| {
-                if collect {
-                    embeddings
-                        .push(mapping.iter().map(|&dv| global_of_dense[dv as usize]).collect());
-                }
-                true
-            });
-        (embeddings, stats)
+        let mut count = 0u64;
+        let nodes = match_below(graph, &rest, start, unit, sink, |dv, done| {
+            count += done.len() as u64;
+            if collect {
+                embeddings.extend((0..done.len()).map(|i| {
+                    // the start vertex's slot keeps the fill value
+                    let mut embedding = vec![global_of_dense[dv as usize]; pattern.vertex_count()];
+                    for (&u, &v) in rest.leaves().iter().zip(done.leaves(i)) {
+                        embedding[u] = global_of_dense[v as usize];
+                    }
+                    embedding
+                }));
+            }
+        });
+        (embeddings, count, nodes)
     });
 
     // Merge in unit order: identical to one sequential sweep.
     let mut embeddings = Vec::new();
-    let mut stats = EnumerationStats::default();
-    for (unit_embeddings, unit_stats) in unit_results {
+    let (mut count, mut nodes) = (0, 0);
+    for (unit_embeddings, unit_count, unit_nodes) in unit_results {
         embeddings.extend(unit_embeddings);
-        stats.absorb(&unit_stats);
+        count += unit_count;
+        nodes += unit_nodes;
     }
 
     SmeResult {
-        count: stats.embeddings,
+        count,
         embeddings,
         local_candidates: local_cands.len(),
         remaining_candidates: remote_cands,
-        estimator: SpaceEstimator::from_sme(stats.total_nodes(), local_cands.len()),
-        trie_nodes: stats.total_nodes(),
+        estimator: SpaceEstimator::from_sme(nodes, local_cands.len()),
+        trie_nodes: nodes,
     }
+}
+
+/// Matches `rest` on `graph` below each of `candidates` (dense ids) as the
+/// start vertex `start`, with one [`Expander`], and hands each candidate's
+/// extensions to `found`. Returns the search nodes visited, one per start
+/// candidate included.
+fn match_below(
+    graph: &Graph,
+    rest: &UnitExpansion<'_>,
+    start: PatternVertex,
+    candidates: &[VertexId],
+    sink: Sink,
+    mut found: impl FnMut(VertexId, &ExtensionBuffer),
+) -> u64 {
+    let mut expander = Expander::new();
+    // the start vertex and the rest
+    let mut f = vec![None; rest.leaves().len() + 1];
+    for &dv in candidates {
+        f[start] = Some(dv);
+        let done = expander
+            .expand_strict(rest, &mut f, graph, sink)
+            .expect("a whole graph knows every adjacency list");
+        found(dv, done);
+    }
+    candidates.len() as u64 + expander.search_nodes()
 }
 
 /// Start candidates each order enumerates when [`choose_descent_order`]
@@ -162,11 +195,12 @@ pub fn run_sme_in_order(
 const ORDER_SAMPLE: usize = 128;
 
 /// Measures which of two orders matches `pattern` more cheaply on this
-/// machine: the plan's Definition-10 order or the single enumerator's
-/// greedy order from the plan's start vertex. Both run the single
-/// enumerator over the same deterministic sample of owned start candidates
-/// on the owned induced subgraph; the one that visits fewer search nodes
-/// wins, the plan's on a tie.
+/// machine: the plan's Definition-10 order or the greedy order
+/// ([`MatchingOrder::greedy_from`]) from the plan's start vertex. Both
+/// count, with the [`Expander`] SM-E runs, the embeddings below the same
+/// deterministic sample of owned start candidates on the owned induced
+/// subgraph; the one that visits fewer search nodes
+/// ([`Expander::search_nodes`]) wins, the plan's on a tie.
 pub fn choose_descent_order(
     local: &LocalPartition,
     pattern: &Pattern,
@@ -182,10 +216,10 @@ pub fn choose_descent_order(
     let stride = candidates.len().div_ceil(ORDER_SAMPLE).max(1);
     let sample: Vec<VertexId> = candidates.into_iter().step_by(stride).collect();
     let sample = dense_ids(local, &sample);
-    let enumerator = Enumerator::new(local.owned_graph(), pattern);
+    let symmetry = SymmetryBreaking::new(pattern);
     let nodes = |order: &MatchingOrder| {
-        let shared = SharedRun::new(pattern, order.clone(), false);
-        enumerator.run_units(&shared, &sample, None, |_| true).total_nodes()
+        let rest = UnitExpansion::from_order(pattern, &symmetry, order.order()[1..].to_vec());
+        match_below(local.owned_graph(), &rest, start, &sample, Sink::Count, |_, _| {})
     };
     if nodes(&greedy) < nodes(&plan_order) {
         greedy
@@ -203,21 +237,53 @@ fn dense_ids(local: &LocalPartition, owned: &[VertexId]) -> Vec<VertexId> {
 mod tests {
     use super::*;
     use rads_graph::generators::{community_graph, grid_2d};
-    use rads_graph::{queries, Pattern};
+    use rads_graph::queries;
     use rads_partition::{BfsPartitioner, PartitionedGraph, Partitioner, Partitioning};
     use rads_plan::{best_plan, PlannerConfig};
-    use rads_single::count_embeddings;
+    use rads_single::{collect_embeddings, count_embeddings};
 
+    /// Where no edge crosses machines every start candidate is interior:
+    /// SM-E finds every embedding, for every query and in either order, and
+    /// collects exactly the reference enumerator's embeddings. One cluster
+    /// is a single machine; on the other, each machine owns communities with
+    /// interleaved ids, so dense ids differ from global ones.
     #[test]
     fn single_machine_cluster_finds_everything_locally() {
-        let g = community_graph(3, 12, 0.4, 0.05, 5);
-        let pg = PartitionedGraph::build(&g, Partitioning::single_machine(g.vertex_count()));
-        let pattern = queries::q2();
-        let plan = best_plan(&pattern, &PlannerConfig::default());
-        let result = run_sme(pg.local(0), &pattern, &plan, true, &ExecConfig::sequential());
-        // no border vertices at all: every candidate is local
-        assert!(result.remaining_candidates.is_empty());
-        assert_eq!(result.count, count_embeddings(&g, &pattern));
+        let g = community_graph(3, 12, 0.4, 0.0, 5);
+        let interleaved: Vec<usize> = g.vertices().map(|v| usize::from(v / 12 == 1)).collect();
+        let clusters = [
+            PartitionedGraph::build(&g, Partitioning::single_machine(g.vertex_count())),
+            PartitionedGraph::build(&g, Partitioning::new(interleaved, 2)),
+        ];
+        assert_eq!(clusters[1].local(0).dense_id(24), Some(12), "dense ids equal global ones");
+        let mut patterns = queries::standard_query_set();
+        patterns.extend(queries::clique_query_set());
+        for query in patterns {
+            let pattern = &query.pattern;
+            let plan = best_plan(pattern, &PlannerConfig::default());
+            let mut expected = collect_embeddings(&g, pattern);
+            expected.sort_unstable();
+            assert_eq!(expected.len() as u64, count_embeddings(&g, pattern), "{}", query.name);
+            let plan_order = MatchingOrder::from_order(pattern, plan.matching_order().to_vec());
+            let greedy = MatchingOrder::greedy_from(pattern, plan.start_vertex());
+            for order in [plan_order, greedy] {
+                for pg in &clusters {
+                    let (mut found, mut count) = (Vec::new(), 0);
+                    for local in pg.locals() {
+                        let exec = ExecConfig::sequential();
+                        let result = run_sme_in_order(local, pattern, &order, true, true, &exec);
+                        // no border vertices at all: every candidate is local
+                        assert!(result.remaining_candidates.is_empty(), "{}", query.name);
+                        count += result.count;
+                        found.extend(result.embeddings);
+                    }
+                    let what = format!("{}, {order:?}, {} machines", query.name, pg.num_machines());
+                    assert_eq!(count, expected.len() as u64, "{what}");
+                    found.sort_unstable();
+                    assert_eq!(found, expected, "{what}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -329,28 +395,36 @@ mod tests {
         let g = community_graph(3, 20, 0.4, 0.05, 11);
         let pg = PartitionedGraph::build(&g, BfsPartitioner.partition(&g, 2));
         let local = pg.local(0);
-        let graph = local.owned_graph();
-        let all = |pattern: &Pattern, order: &MatchingOrder| {
-            let shared = SharedRun::new(pattern, order.clone(), false);
-            let candidates: Vec<VertexId> = graph.vertices().collect();
-            Enumerator::new(graph, pattern).run_units(&shared, &candidates, None, |_| true)
-        };
         let mut patterns = queries::standard_query_set();
         patterns.extend(queries::clique_query_set());
         for query in patterns {
             let pattern = &query.pattern;
             let plan = best_plan(pattern, &PlannerConfig::default());
+            let start = plan.start_vertex();
+            // the partition is small enough that the sample is all of it
+            let candidates =
+                dense_ids(local, &local.candidates_with_min_degree(pattern.degree(start)));
+            let symmetry = SymmetryBreaking::new(pattern);
+            let all = |order: &MatchingOrder| {
+                let rest = order.order()[1..].to_vec();
+                let rest = UnitExpansion::from_order(pattern, &symmetry, rest);
+                let mut count = 0;
+                let graph = local.owned_graph();
+                let nodes = match_below(graph, &rest, start, &candidates, Sink::Count, |_, done| {
+                    count += done.len()
+                });
+                (nodes, count)
+            };
             let chosen = choose_descent_order(local, pattern, &plan);
             let plan_order = MatchingOrder::from_order(pattern, plan.matching_order().to_vec());
-            let greedy = MatchingOrder::greedy_from(pattern, plan.start_vertex());
+            let greedy = MatchingOrder::greedy_from(pattern, start);
             assert!(chosen == plan_order || chosen == greedy, "{}", query.name);
-            // the partition is small enough that the sample is all of it
-            let (plan_nodes, greedy_nodes) =
-                (all(pattern, &plan_order).total_nodes(), all(pattern, &greedy).total_nodes());
+            let (plan_nodes, plan_count) = all(&plan_order);
+            let (greedy_nodes, greedy_count) = all(&greedy);
             let expected = if greedy_nodes < plan_nodes { &greedy } else { &plan_order };
             assert_eq!(&chosen, expected, "{}: {plan_nodes} vs {greedy_nodes}", query.name);
             // either order finds the same embeddings
-            assert_eq!(all(pattern, &plan_order).embeddings, all(pattern, &greedy).embeddings);
+            assert_eq!(plan_count, greedy_count, "{}", query.name);
         }
     }
 }

@@ -18,6 +18,8 @@ pub struct SymmetryBreaking {
     n: usize,
     /// `constraints[a]` holds every `b` with the requirement `f(a) < f(b)`.
     constraints: Vec<Vec<PatternVertex>>,
+    /// The reverse lists: `below[b]` holds every `a` with `f(a) < f(b)`.
+    below: Vec<Vec<PatternVertex>>,
     /// Number of automorphisms of the pattern (the reduction factor).
     automorphism_count: usize,
 }
@@ -57,7 +59,13 @@ impl SymmetryBreaking {
             list.sort_unstable();
             list.dedup();
         }
-        SymmetryBreaking { n, constraints, automorphism_count }
+        let mut below: Vec<Vec<PatternVertex>> = vec![Vec::new(); n];
+        for (a, list) in constraints.iter().enumerate() {
+            for &b in list {
+                below[b].push(a);
+            }
+        }
+        SymmetryBreaking { n, constraints, below, automorphism_count }
     }
 
     /// A no-op symmetry breaking (used when an engine wants to disable it,
@@ -66,6 +74,7 @@ impl SymmetryBreaking {
         SymmetryBreaking {
             n: pattern.vertex_count(),
             constraints: vec![Vec::new(); pattern.vertex_count()],
+            below: vec![Vec::new(); pattern.vertex_count()],
             automorphism_count: 1,
         }
     }
@@ -108,15 +117,10 @@ impl SymmetryBreaking {
             }
         }
         // constraints a < u
-        for (a, list) in self.constraints.iter().enumerate() {
-            if a == u {
-                continue;
-            }
-            if list.contains(&u) {
-                if let Some(va) = assigned[a] {
-                    if va >= v {
-                        return false;
-                    }
+        for &a in &self.below[u] {
+            if let Some(va) = assigned[a] {
+                if va >= v {
+                    return false;
                 }
             }
         }
@@ -136,13 +140,7 @@ impl SymmetryBreaking {
         // constraints u < b
         let hi = self.constraints[u].iter().filter_map(|&b| assigned[b]).min();
         // constraints a < u
-        let lo = self
-            .constraints
-            .iter()
-            .enumerate()
-            .filter(|&(a, list)| a != u && list.contains(&u))
-            .filter_map(|(a, _)| assigned[a])
-            .max();
+        let lo = self.below[u].iter().filter_map(|&a| assigned[a]).max();
         (lo, hi)
     }
 }
@@ -281,23 +279,47 @@ mod tests {
         assert!(sb.check_full(&[5, 4, 3, 2, 1, 0]));
     }
 
+    /// Every permutation of `0..n`, in lexicographic order.
+    fn permutations(n: usize) -> Vec<Vec<VertexId>> {
+        if n == 0 {
+            return vec![Vec::new()];
+        }
+        let mut out = Vec::new();
+        for first in 0..n as VertexId {
+            for rest in permutations(n - 1) {
+                let mut perm = vec![first];
+                perm.extend(rest.into_iter().map(|v| v + VertexId::from(v >= first)));
+                out.push(perm);
+            }
+        }
+        out
+    }
+
     #[test]
     fn partial_checks_agree_with_full_checks() {
-        let p = queries::q1();
-        let sb = SymmetryBreaking::new(&p);
-        let mapping: Vec<VertexId> = vec![4, 2, 1, 3];
-        let full = sb.check_full(&mapping);
-        // simulate incremental assignment in order 0,1,2,3
-        let mut assigned: Vec<Option<VertexId>> = vec![None; 4];
-        let mut partial_ok = true;
-        for u in 0..4 {
-            if !sb.check_partial(u, mapping[u], &assigned) {
-                partial_ok = false;
-                break;
+        let mut patterns = queries::standard_query_set();
+        patterns.extend(queries::clique_query_set());
+        for query in patterns {
+            let sb = SymmetryBreaking::new(&query.pattern);
+            let n = query.pattern.vertex_count();
+            let forward: Vec<usize> = (0..n).collect();
+            let reverse: Vec<usize> = (0..n).rev().collect();
+            let mut accepted = 0;
+            for mapping in permutations(n) {
+                let full = sb.check_full(&mapping);
+                accepted += usize::from(full);
+                for order in [&forward, &reverse] {
+                    let mut assigned: Vec<Option<VertexId>> = vec![None; n];
+                    let incremental = order.iter().all(|&u| {
+                        let ok = sb.check_partial(u, mapping[u], &assigned);
+                        assigned[u] = Some(mapping[u]);
+                        ok
+                    });
+                    assert_eq!(incremental, full, "{}, {mapping:?}, order {order:?}", query.name);
+                }
             }
-            assigned[u] = Some(mapping[u]);
+            assert_eq!(accepted * sb.automorphism_count(), permutations(n).len(), "{}", query.name);
         }
-        assert_eq!(full, partial_ok);
     }
 
     #[test]

@@ -9,8 +9,6 @@
 //! [`CandidateKernel::Probe`] so tests and benchmarks can pin the two paths
 //! against each other.
 
-use std::ops::Range;
-
 use rads_graph::intersect::{intersect_k_into, IntersectStats};
 use rads_graph::{Graph, Pattern, SymmetryBreaking, VertexId};
 
@@ -39,18 +37,6 @@ pub struct EnumerationConfig {
     pub disable_symmetry_breaking: bool,
     /// Stop after this many embeddings have been reported.
     pub max_results: Option<u64>,
-    /// Restrict the data vertices the *start* query vertex may be mapped to.
-    /// `None` means all vertices of the graph. This is how SM-E enumerates
-    /// only from the candidates with sufficient border distance.
-    pub start_candidates: Option<Vec<VertexId>>,
-    /// Enumerate only the start candidates at these positions of the start
-    /// candidate list (the explicit one, or all graph vertices in vertex
-    /// order when `start_candidates` is `None`). The range is applied
-    /// *before* the per-vertex filters and is clamped to the list length, so
-    /// a family of runs whose ranges partition `0..len` partitions the
-    /// result set exactly — this is what makes start-candidate work units
-    /// splittable for the intra-machine worker pool.
-    pub start_range: Option<Range<usize>>,
     /// Explicit matching order; `None` selects [`MatchingOrder::default_for`].
     pub order: Option<MatchingOrder>,
     /// Candidate-generation kernel (default: [`CandidateKernel::Intersect`]).
@@ -64,9 +50,8 @@ pub struct EnumerationStats {
     pub embeddings: u64,
     /// Number of search-tree nodes (successful partial matches) per matching
     /// position. `nodes_per_level[i]` counts the partial matches in which
-    /// `i + 1` query vertices are mapped. RADS's memory estimator uses the sum
-    /// of this vector as the embedding-trie node count for the vertex
-    /// (Section 6). Identical for both [`CandidateKernel`]s.
+    /// `i + 1` query vertices are mapped. Identical for both
+    /// [`CandidateKernel`]s.
     pub nodes_per_level: Vec<u64>,
     /// Candidates inspected but rejected by filters / adjacency checks /
     /// symmetry breaking. Kernel-dependent: the intersection kernel never
@@ -75,66 +60,6 @@ pub struct EnumerationStats {
     pub pruned: u64,
     /// Intersection-kernel counters (all zero under the probe kernel).
     pub intersect: IntersectStats,
-}
-
-impl EnumerationStats {
-    /// Total number of search-tree nodes (the embedding-trie node estimate).
-    pub fn total_nodes(&self) -> u64 {
-        self.nodes_per_level.iter().sum()
-    }
-
-    /// Adds the counters of an independent work unit (field-wise sums, level
-    /// counters padded to the longer vector).
-    pub fn absorb(&mut self, other: &EnumerationStats) {
-        self.embeddings += other.embeddings;
-        self.pruned += other.pruned;
-        self.intersect.absorb(&other.intersect);
-        if self.nodes_per_level.len() < other.nodes_per_level.len() {
-            self.nodes_per_level.resize(other.nodes_per_level.len(), 0);
-        }
-        for (level, n) in other.nodes_per_level.iter().enumerate() {
-            self.nodes_per_level[level] += n;
-        }
-    }
-}
-
-/// Per-run-family state derived from the pattern once and shared by every
-/// work unit of a run: the matching order, the symmetry-breaking constraints
-/// and the precomputed filter thresholds. Building these is cheap relative to
-/// a whole enumeration but not relative to one *work unit* of the
-/// intra-machine pool (tens of start candidates), which is why SM-E derives
-/// one `SharedRun` per machine run instead of one per unit.
-#[derive(Debug, Clone)]
-pub struct SharedRun {
-    order: MatchingOrder,
-    symmetry: SymmetryBreaking,
-    thresholds: FilterThresholds,
-}
-
-impl SharedRun {
-    /// Builds the shared state for `pattern` with an explicit matching order.
-    pub fn new(pattern: &Pattern, order: MatchingOrder, disable_symmetry_breaking: bool) -> Self {
-        let symmetry = if disable_symmetry_breaking {
-            SymmetryBreaking::disabled(pattern)
-        } else {
-            SymmetryBreaking::new(pattern)
-        };
-        SharedRun { order, symmetry, thresholds: FilterThresholds::new(pattern) }
-    }
-
-    /// Builds the shared state a given `config` implies.
-    pub fn for_config(pattern: &Pattern, config: &EnumerationConfig) -> Self {
-        let order = match &config.order {
-            Some(o) => o.clone(),
-            None => MatchingOrder::default_for(pattern),
-        };
-        Self::new(pattern, order, config.disable_symmetry_breaking)
-    }
-
-    /// The matching order of this run family.
-    pub fn order(&self) -> &MatchingOrder {
-        &self.order
-    }
 }
 
 /// A reusable enumerator over a graph/pattern pair.
@@ -159,45 +84,25 @@ impl<'a> Enumerator<'a> {
     /// indexed by query vertex (`mapping[u]` is the data vertex of `u`) and
     /// returns `true` to continue, `false` to stop early.
     pub fn run<F: FnMut(&[VertexId]) -> bool>(&self, callback: F) -> EnumerationStats {
-        if self.pattern.vertex_count() == 0 {
+        let n = self.pattern.vertex_count();
+        if n == 0 {
             return EnumerationStats::default();
         }
-        let shared = SharedRun::for_config(self.pattern, &self.config);
-        let all_vertices: Vec<VertexId>;
-        let candidates: &[VertexId] = match &self.config.start_candidates {
-            Some(cands) => cands,
-            None => {
-                all_vertices = self.graph.vertices().collect();
-                &all_vertices
-            }
+        let symmetry = if self.config.disable_symmetry_breaking {
+            SymmetryBreaking::disabled(self.pattern)
+        } else {
+            SymmetryBreaking::new(self.pattern)
         };
-        self.run_units(&shared, candidates, self.config.start_range.clone(), callback)
-    }
-
-    /// Runs the enumeration over one sub-range of an externally owned start
-    /// candidate list, with externally shared per-run state. This is the
-    /// splittable entry point the SM-E worker pool uses: the candidate list,
-    /// matching order, symmetry constraints and filter thresholds are built
-    /// once per machine run and borrowed by every work unit, so a unit costs
-    /// no setup beyond its own scratch buffers.
-    ///
-    /// `range = None` means the whole list; ranges are clamped to the list
-    /// length, and a family of calls whose ranges partition `0..len`
-    /// partitions the result set exactly (the range applies *before* the
-    /// per-vertex filters). `config.start_candidates`, `config.start_range`
-    /// and `config.order` are ignored by this entry point.
-    pub fn run_units<F: FnMut(&[VertexId]) -> bool>(
-        &self,
-        shared: &SharedRun,
-        candidates: &[VertexId],
-        range: Option<Range<usize>>,
-        callback: F,
-    ) -> EnumerationStats {
-        let n = self.pattern.vertex_count();
+        let order = match &self.config.order {
+            Some(order) => order.clone(),
+            None => MatchingOrder::default_for(self.pattern),
+        };
         let mut search = Search {
             graph: self.graph,
             pattern: self.pattern,
-            shared,
+            order,
+            symmetry,
+            thresholds: FilterThresholds::new(self.pattern),
             kernel: self.config.kernel,
             max_results: self.config.max_results,
             assigned: vec![None; n],
@@ -213,26 +118,15 @@ impl<'a> Enumerator<'a> {
             callback,
             stop: false,
         };
-        if n == 0 {
-            return search.stats;
-        }
-        let ranged = match range {
-            Some(range) => {
-                let lo = range.start.min(candidates.len());
-                let hi = range.end.min(candidates.len());
-                &candidates[lo..hi.max(lo)]
-            }
-            None => candidates,
-        };
-        let start = shared.order.start_vertex();
-        for &v0 in ranged {
+        let start = search.order.start_vertex();
+        for v0 in self.graph.vertices() {
             if search.stop {
                 break;
             }
-            if !shared.thresholds.passes(self.graph, start, v0) {
+            if !search.thresholds.passes(self.graph, start, v0) {
                 continue;
             }
-            if !shared.symmetry.check_partial(start, v0, &search.assigned) {
+            if !search.symmetry.check_partial(start, v0, &search.assigned) {
                 search.stats.pruned += 1;
                 continue;
             }
@@ -244,15 +138,18 @@ impl<'a> Enumerator<'a> {
     }
 }
 
-/// The backtracking state of one run: the partial assignment, the reusable
-/// per-level candidate buffers and the statistics. Scratch vectors are
-/// allocated once per [`Enumerator::run_units`] call and reused across the
-/// whole search tree, so the inner loop is allocation-free once the buffers
-/// have grown to their working size.
+/// The backtracking state of one run: the matching order, the
+/// symmetry-breaking constraints and filter thresholds, the partial
+/// assignment, the reusable per-level candidate buffers and the statistics.
+/// Scratch vectors are allocated once per [`Enumerator::run`] call and
+/// reused across the whole search tree, so the inner loop is allocation-free
+/// once the buffers have grown to their working size.
 struct Search<'e, F> {
     graph: &'e Graph,
     pattern: &'e Pattern,
-    shared: &'e SharedRun,
+    order: MatchingOrder,
+    symmetry: SymmetryBreaking,
+    thresholds: FilterThresholds,
     kernel: CandidateKernel,
     max_results: Option<u64>,
     /// `assigned[u]` — the data vertex matched to query vertex `u`.
@@ -296,7 +193,7 @@ impl<F: FnMut(&[VertexId]) -> bool> Search<'_, F> {
             self.emit();
             return;
         }
-        let u = self.shared.order.vertex_at(pos);
+        let u = self.order.vertex_at(pos);
         match self.kernel {
             CandidateKernel::Intersect => self.extend_intersect(pos, u),
             CandidateKernel::Probe => self.extend_probe(pos, u),
@@ -358,11 +255,11 @@ impl<F: FnMut(&[VertexId]) -> bool> Search<'_, F> {
                 self.stats.pruned += 1;
                 continue;
             }
-            if !self.shared.thresholds.passes(self.graph, u, v) {
+            if !self.thresholds.passes(self.graph, u, v) {
                 self.stats.pruned += 1;
                 continue;
             }
-            if !self.shared.symmetry.check_partial(u, v, &self.assigned) {
+            if !self.symmetry.check_partial(u, v, &self.assigned) {
                 self.stats.pruned += 1;
                 continue;
             }
@@ -376,8 +273,8 @@ impl<F: FnMut(&[VertexId]) -> bool> Search<'_, F> {
     /// anchor's adjacency list, reject with one `has_edge` binary search per
     /// remaining back edge.
     fn extend_probe(&mut self, pos: usize, u: usize) {
-        let anchor_pos = self.shared.order.anchor_of(pos);
-        let anchor_vertex = self.shared.order.vertex_at(anchor_pos);
+        let anchor_pos = self.order.anchor_of(pos);
+        let anchor_vertex = self.order.vertex_at(anchor_pos);
         let anchor_data = self.assigned[anchor_vertex].expect("anchor must be assigned");
         let seed = self.graph.neighbors(anchor_data);
 
@@ -390,7 +287,7 @@ impl<F: FnMut(&[VertexId]) -> bool> Search<'_, F> {
                 self.stats.pruned += 1;
                 continue;
             }
-            if !self.shared.thresholds.passes(self.graph, u, v) {
+            if !self.thresholds.passes(self.graph, u, v) {
                 self.stats.pruned += 1;
                 continue;
             }
@@ -403,7 +300,7 @@ impl<F: FnMut(&[VertexId]) -> bool> Search<'_, F> {
                     }
                 }
             }
-            if !self.shared.symmetry.check_partial(u, v, &self.assigned) {
+            if !self.symmetry.check_partial(u, v, &self.assigned) {
                 self.stats.pruned += 1;
                 continue;
             }
@@ -522,74 +419,6 @@ mod tests {
     }
 
     #[test]
-    fn start_candidate_restriction_partitions_the_result_set() {
-        let g = erdos_renyi(50, 0.15, 4);
-        let q = queries::q2();
-        let total = count_embeddings(&g, &q);
-        // Split the vertex set in two halves and restrict the start vertex.
-        let half_a: Vec<VertexId> = g.vertices().filter(|v| v % 2 == 0).collect();
-        let half_b: Vec<VertexId> = g.vertices().filter(|v| v % 2 == 1).collect();
-        let count = |cands: Vec<VertexId>| {
-            Enumerator::with_config(
-                &g,
-                &q,
-                EnumerationConfig { start_candidates: Some(cands), ..Default::default() },
-            )
-            .run(|_| true)
-            .embeddings
-        };
-        assert_eq!(count(half_a) + count(half_b), total);
-    }
-
-    #[test]
-    fn start_range_chunks_partition_the_result_set() {
-        let g = erdos_renyi(50, 0.15, 8);
-        let q = queries::q2();
-        let total = count_embeddings(&g, &q);
-        let candidates: Vec<VertexId> = g.vertices().collect();
-        let count_range = |range: std::ops::Range<usize>| {
-            Enumerator::with_config(
-                &g,
-                &q,
-                EnumerationConfig {
-                    start_candidates: Some(candidates.clone()),
-                    start_range: Some(range),
-                    ..Default::default()
-                },
-            )
-            .run(|_| true)
-            .embeddings
-        };
-        // any chunking of 0..len partitions the result set
-        for chunk in [7usize, 16, 50] {
-            let mut sum = 0;
-            let mut lo = 0;
-            while lo < candidates.len() {
-                sum += count_range(lo..(lo + chunk).min(candidates.len()));
-                lo += chunk;
-            }
-            assert_eq!(sum, total, "chunk size {chunk}");
-        }
-        // out-of-bounds ranges are clamped instead of panicking
-        assert_eq!(count_range(0..usize::MAX), total);
-        assert_eq!(count_range(candidates.len() + 5..candidates.len() + 9), 0);
-        // a range also applies to the implicit all-vertices candidate list
-        let implicit_total: u64 = [0..25usize, 25..50]
-            .into_iter()
-            .map(|range| {
-                Enumerator::with_config(
-                    &g,
-                    &q,
-                    EnumerationConfig { start_range: Some(range), ..Default::default() },
-                )
-                .run(|_| true)
-                .embeddings
-            })
-            .sum();
-        assert_eq!(implicit_total, total);
-    }
-
-    #[test]
     fn collected_embeddings_are_valid_and_distinct() {
         let g = erdos_renyi(30, 0.2, 2);
         let q = queries::q4();
@@ -617,7 +446,7 @@ mod tests {
         let stats = Enumerator::new(&g, &q).run(|_| true);
         assert_eq!(stats.nodes_per_level.len(), q.vertex_count());
         assert_eq!(*stats.nodes_per_level.last().unwrap(), stats.embeddings);
-        assert!(stats.total_nodes() >= stats.embeddings);
+        assert!(stats.nodes_per_level.iter().sum::<u64>() >= stats.embeddings);
     }
 
     #[test]
@@ -668,26 +497,5 @@ mod tests {
             assert_eq!(fast_stats.nodes_per_level, probe_stats.nodes_per_level, "{}", q.name);
             assert_eq!(probe_stats.intersect, Default::default(), "{}", q.name);
         }
-    }
-
-    #[test]
-    fn run_units_matches_run_and_absorbs_stats() {
-        let g = erdos_renyi(40, 0.2, 21);
-        let q = queries::q2();
-        let enumerator = Enumerator::new(&g, &q);
-        let whole = enumerator.run(|_| true);
-        let shared = SharedRun::for_config(&q, &EnumerationConfig::default());
-        let candidates: Vec<VertexId> = g.vertices().collect();
-        let mut merged = EnumerationStats::default();
-        for lo in (0..candidates.len()).step_by(11) {
-            let unit = enumerator.run_units(
-                &shared,
-                &candidates,
-                Some(lo..(lo + 11).min(candidates.len())),
-                |_| true,
-            );
-            merged.absorb(&unit);
-        }
-        assert_eq!(merged, whole);
     }
 }

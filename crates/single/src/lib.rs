@@ -1,24 +1,23 @@
-//! Single-machine subgraph enumeration.
+//! Single-machine subgraph enumeration: the reference enumerator.
 //!
 //! The paper delegates purely local work to "a single-machine algorithm, such
-//! as TurboIso" (Section 3.1). This crate is that algorithm for the
-//! reproduction: a backtracking subgraph-isomorphism enumerator in the style
-//! of TurboIso / the generic framework of Lee et al. (VLDB 2012), with
+//! as TurboIso" (Section 3.1). This crate is a backtracking
+//! subgraph-isomorphism enumerator in the style of TurboIso / the generic
+//! framework of Lee et al. (VLDB 2012), with
 //!
 //! * candidate filtering by degree and neighbourhood degree,
 //! * a connected, selectivity-aware matching order,
 //! * `IsJoinable`-style adjacency checks against already-matched vertices,
 //! * automorphism-based symmetry breaking (shared with the distributed
 //!   engines via [`rads_graph::SymmetryBreaking`]),
-//! * optional restriction of the start vertex to an explicit candidate set —
-//!   exactly what RADS's SM-E phase needs (it enumerates only from the
-//!   candidates whose border distance is at least the span of the start
-//!   vertex),
-//! * per-level search statistics used by RADS's memory estimator
-//!   (Section 6 "Estimating memory usage").
+//! * per-level search statistics.
 //!
-//! Besides SM-E, every baseline and every test that needs ground-truth
-//! embedding counts uses this crate.
+//! It is the ground truth of every test and baseline that needs embedding
+//! counts, and the single-thread baseline that the `intersect` experiment
+//! and the benchmark's `single.*` probe time. The engines run
+//! none of its search code: RADS's SM-E phase runs the engine's own
+//! backtracker on the machine's owned subgraph. They share only
+//! [`MatchingOrder`], whose greedy order SM-E may match in.
 
 pub mod candidates;
 pub mod enumerate;
@@ -27,6 +26,6 @@ pub mod order;
 pub use candidates::FilterThresholds;
 pub use enumerate::{
     collect_embeddings, count_embeddings, enumerate_embeddings, CandidateKernel,
-    EnumerationConfig, EnumerationStats, Enumerator, SharedRun,
+    EnumerationConfig, EnumerationStats, Enumerator,
 };
 pub use order::MatchingOrder;
