@@ -366,10 +366,11 @@ pub struct EngineStats {
     pub undetermined_edges: u64,
     /// Embedding candidates removed by remote verification.
     pub candidates_filtered: u64,
-    /// Intersection-kernel counters of the R-Meef expansion. Like the
-    /// communication counters, these may vary with `workers > 1`: which
-    /// back-edge endpoints have locally known adjacency depends on the
-    /// worker-private cache contents and therefore on the schedule.
+    /// Intersection-kernel counters of SM-E and of the R-Meef expansion.
+    /// Like the communication counters, the R-Meef share may vary with
+    /// `workers > 1`: which back-edge endpoints have locally known adjacency
+    /// depends on the worker-private cache contents and therefore on the
+    /// schedule.
     pub intersect: rads_graph::IntersectStats,
 }
 
@@ -608,6 +609,7 @@ pub fn run_machine(
     drop(sme_span);
     output.stats.sme_embeddings = sme.count;
     output.stats.sme_candidates = sme.local_candidates;
+    output.stats.intersect.absorb(&sme.intersect);
     output.count += sme.count;
     output.embeddings = sme.embeddings;
 

@@ -9,8 +9,13 @@
 //! Candidate generation is intersection-based: the adjacency lists of every
 //! back-edge endpoint whose adjacency is *locally known* (owned or cached) —
 //! the pivot's first — are intersected ([`rads_graph::intersect`]), so
-//! candidates refuted by a known back edge are never materialized. Only the
-//! back edges whose endpoint adjacency is unknown fall back to per-candidate
+//! candidates refuted by a known back edge are never materialized. Symmetry
+//! breaking bounds the candidates before that: once per vertex and parent,
+//! [`SymmetryBreaking::bounds`] gives the open interval of data ids the
+//! matched vertices allow it, and each known list is cut to that interval
+//! with two binary searches before it is intersected, so no candidate is
+//! checked against the constraints one by one. Only the back edges whose
+//! endpoint adjacency is unknown fall back to per-candidate
 //! [`AdjacencyOracle::decide_edge`] probes and the undetermined-edge
 //! bookkeeping.
 //!
@@ -25,8 +30,8 @@
 //! A strict counting expansion counts its last vertex instead of walking its
 //! candidates, when every pattern neighbour of that vertex is a back edge
 //! (always so in a [`UnitExpansion::from_order`] context) and every back
-//! edge's list is known: the extensions are the intersection's candidates
-//! inside the open interval symmetry breaking allows, less the matched
+//! edge's list is known: the extensions are the intersection's candidates,
+//! already inside the interval symmetry breaking allows, less the matched
 //! vertices among them. That is sound without the degree filter, because
 //! each candidate is adjacent to `deg(u)` distinct matched vertices already.
 
@@ -411,7 +416,10 @@ impl Expander {
         let u = ctx.leaves[idx];
 
         // Partition the leaf's back edges: endpoints with locally known
-        // adjacency join the intersection, the rest are probed per candidate.
+        // adjacency join the intersection, cut to the interval symmetry
+        // breaking allows `u` (fixed while its candidates are walked), and
+        // the rest are probed per candidate.
+        let (lo, hi) = ctx.symmetry.bounds(u, f);
         let mut known: [&[VertexId]; KNOWN_LISTS_CAP] = [&[]; KNOWN_LISTS_CAP];
         let mut known_len = 0usize;
         let mut probe = std::mem::take(&mut self.probes[idx]);
@@ -420,7 +428,7 @@ impl Expander {
             let v2 = f[u2].expect("back-edge endpoint is matched");
             match oracle.adjacency(v2) {
                 Some(adj) if known_len < KNOWN_LISTS_CAP => {
-                    known[known_len] = adj;
+                    known[known_len] = within(adj, lo, hi);
                     known_len += 1;
                 }
                 _ => probe.push(v2),
@@ -457,7 +465,7 @@ impl Expander {
             && probe.is_empty()
             && ctx.back_edges[idx].len() == ctx.pattern.degree(u)
         {
-            let counted = count_last(ctx.symmetry, u, candidates, f);
+            let counted = count_last(candidates, f);
             self.out.len += counted;
             self.search_nodes += counted as u64;
             self.bufs[idx] = buf;
@@ -476,9 +484,6 @@ impl Expander {
                 if adj.len() < ctx.pattern.degree(u) {
                     continue;
                 }
-            }
-            if !ctx.symmetry.check_partial(u, v, f) {
-                continue;
             }
             let undetermined_before = self.undetermined.len();
             for &v2 in &probe {
@@ -513,24 +518,24 @@ impl Expander {
     }
 }
 
+/// The part of the sorted `list` inside the open interval `(lo, hi)`; an
+/// absent bound does not cut.
+fn within(list: &[VertexId], lo: Option<VertexId>, hi: Option<VertexId>) -> &[VertexId] {
+    let start = lo.map_or(0, |lo| list.partition_point(|&v| v <= lo));
+    let end = hi.map_or(list.len(), |hi| list.partition_point(|&v| v < hi));
+    &list[start..end.max(start)]
+}
+
 /// The number of extensions the per-candidate walk would find at the last
-/// vertex `u`, whose sorted `candidates` are already refuted by no back edge:
-/// those inside the open interval symmetry breaking allows `u`, less the
-/// matched vertices in it (injectivity). The degree filter drops nothing
-/// here: every pattern neighbour of `u` is a back edge, so each candidate is
-/// adjacent to `deg(u)` distinct matched vertices.
-fn count_last(
-    symmetry: &SymmetryBreaking,
-    u: PatternVertex,
-    candidates: &[VertexId],
-    f: &[Option<VertexId>],
-) -> usize {
-    let (lo, hi) = symmetry.bounds(u, f);
-    let start = lo.map_or(0, |lo| candidates.partition_point(|&v| v <= lo));
-    let end = hi.map_or(candidates.len(), |hi| candidates.partition_point(|&v| v < hi));
-    let allowed = &candidates[start..end.max(start)];
-    let matched = f.iter().flatten().filter(|v| allowed.binary_search(v).is_ok()).count();
-    allowed.len() - matched
+/// vertex, whose sorted `candidates` are already refuted by no back edge and
+/// cut to the interval symmetry breaking allows: the candidates less the
+/// matched vertices among them (injectivity). The degree filter drops
+/// nothing here: every pattern neighbour of the vertex is a back edge, so
+/// each candidate is adjacent to as many distinct matched vertices as the
+/// vertex has neighbours.
+fn count_last(candidates: &[VertexId], f: &[Option<VertexId>]) -> usize {
+    let matched = f.iter().flatten().filter(|v| candidates.binary_search(v).is_ok()).count();
+    candidates.len() - matched
 }
 
 /// One-shot convenience over [`Expander::expand`] returning owned
@@ -1051,6 +1056,131 @@ mod tests {
         let mut f = vec![Some(0), Some(1), None];
         let counted = expander.expand_strict(&ctx, &mut f, &oracle, Sink::Count).map(|b| b.len());
         assert_eq!(counted, Some(4));
+    }
+
+    /// `ctx` with `symmetry` in place of its own, cut to its first `k`
+    /// vertices.
+    fn first_leaves<'a>(
+        ctx: &UnitExpansion<'a>,
+        symmetry: &'a SymmetryBreaking,
+        k: usize,
+    ) -> UnitExpansion<'a> {
+        UnitExpansion {
+            pattern: ctx.pattern,
+            symmetry,
+            pivot: ctx.pivot,
+            leaves: ctx.leaves[..k].to_vec(),
+            back_edges: ctx.back_edges[..k].to_vec(),
+        }
+    }
+
+    /// The extensions of `ctx` below `f` found without cutting any list:
+    /// expanded with symmetry breaking off, then kept where `check_partial`
+    /// admits each leaf in turn.
+    fn checked_leaf_by_leaf(
+        ctx: &UnitExpansion<'_>,
+        f: &mut [Option<VertexId>],
+        oracle: &MapOracle,
+    ) -> Vec<CandidateExtension> {
+        let disabled = SymmetryBreaking::disabled(ctx.pattern);
+        let open = first_leaves(ctx, &disabled, ctx.leaves.len());
+        let mut extensions = expand_embedding(&open, f, oracle);
+        extensions.retain(|extension| {
+            let mut g = f.to_vec();
+            ctx.leaves.iter().zip(&extension.leaves).all(|(&u, &v)| {
+                let admitted = ctx.symmetry.check_partial(u, v, &g);
+                g[u] = Some(v);
+                admitted
+            })
+        });
+        extensions
+    }
+
+    /// What [`check_clipped`] went through.
+    #[derive(Debug, Default)]
+    struct Clipped {
+        parents: usize,
+        /// Extensions of the unchecked expansion that symmetry breaking drops.
+        removed: usize,
+        /// Extensions with an undetermined edge.
+        undetermined: usize,
+    }
+
+    /// Expands the parent in `f` at `round`, checks the extensions and the
+    /// search nodes against [`checked_leaf_by_leaf`], then recurses into
+    /// every extension.
+    fn check_clipped(
+        units: &[UnitExpansion<'_>],
+        round: usize,
+        f: &mut [Option<VertexId>],
+        oracle: &MapOracle,
+        expander: &mut Expander,
+        seen: &mut Clipped,
+    ) {
+        let ctx = &units[round];
+        let before = f.to_vec();
+        let expected = checked_leaf_by_leaf(ctx, f, oracle);
+        let nodes_before = expander.search_nodes();
+        let clipped = expander.expand(ctx, f, oracle).to_extensions();
+        assert_eq!(clipped, expected, "round {round}, parent {before:?}");
+        // a node per vertex placed: the admitted extensions of each prefix
+        let placed: usize = (1..=ctx.leaves.len())
+            .map(|k| checked_leaf_by_leaf(&first_leaves(ctx, ctx.symmetry, k), f, oracle).len())
+            .sum();
+        let nodes = expander.search_nodes() - nodes_before;
+        assert_eq!(nodes, placed as u64, "round {round}, parent {before:?}");
+        assert_eq!(f, &before[..], "f not restored");
+        let disabled = SymmetryBreaking::disabled(ctx.pattern);
+        let open = first_leaves(ctx, &disabled, ctx.leaves.len());
+        seen.parents += 1;
+        seen.removed += expand_embedding(&open, f, oracle).len() - clipped.len();
+        seen.undetermined += clipped.iter().filter(|e| !e.undetermined.is_empty()).count();
+        if round + 1 < units.len() {
+            for extension in &clipped {
+                for (&u, &v) in ctx.leaves().iter().zip(&extension.leaves) {
+                    f[u] = Some(v);
+                }
+                check_clipped(units, round + 1, f, oracle, expander, seen);
+                for &u in ctx.leaves() {
+                    f[u] = None;
+                }
+            }
+        }
+    }
+
+    /// Cutting the known lists to the interval symmetry breaking allows
+    /// keeps exactly the extensions, undetermined edges included, that a
+    /// per-candidate `check_partial` keeps, and places the same vertices:
+    /// every query, every round, on irregular graphs of which the oracle
+    /// knows only part.
+    #[test]
+    fn clipped_lists_equal_checking_each_candidate() {
+        let mut expander = Expander::new();
+        for seed in [1, 2, 3] {
+            let graph = rads_graph::generators::erdos_renyi(20, 0.3, seed);
+            let edges: Vec<(VertexId, VertexId)> = graph.edges().collect();
+            let known: Vec<VertexId> = graph.vertices().filter(|v| v % 3 != 0).collect();
+            let partial = MapOracle::from_edges(&known, &edges);
+            let mut patterns = queries::standard_query_set();
+            patterns.extend(queries::clique_query_set());
+            for query in patterns {
+                let pattern = &query.pattern;
+                let plan = best_plan(pattern, &PlannerConfig::default());
+                let symmetry = SymmetryBreaking::new(pattern);
+                let units: Vec<UnitExpansion<'_>> = (0..plan.rounds())
+                    .map(|round| UnitExpansion::new(pattern, &plan, &symmetry, round))
+                    .collect();
+                let mut seen = Clipped::default();
+                for &start in &known {
+                    let mut f = vec![None; pattern.vertex_count()];
+                    f[plan.start_vertex()] = Some(start);
+                    check_clipped(&units, 0, &mut f, &partial, &mut expander, &mut seen);
+                }
+                let what = format!("seed {seed}, {}: {seen:?}", query.name);
+                assert!(plan.rounds() == 1 || seen.parents > known.len(), "{what}");
+                assert!(seen.removed > 0 && seen.undetermined > 0, "{what}");
+            }
+        }
     }
 
     #[test]

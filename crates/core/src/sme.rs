@@ -18,7 +18,7 @@
 //! the outcome is bit-identical for every worker count.
 
 use rads_exec::{parallel_map, ExecConfig};
-use rads_graph::{Graph, Pattern, PatternVertex, SymmetryBreaking, VertexId};
+use rads_graph::{Graph, IntersectStats, Pattern, PatternVertex, SymmetryBreaking, VertexId};
 use rads_partition::LocalPartition;
 use rads_plan::ExecutionPlan;
 use rads_single::MatchingOrder;
@@ -43,11 +43,16 @@ pub struct SmeResult {
     /// Total search-tree nodes visited by SM-E (embedding-trie size of the
     /// local results).
     pub trie_nodes: u64,
+    /// Intersection-kernel counters of SM-E's candidate generation, summed
+    /// over the work units in unit order.
+    pub intersect: IntersectStats,
 }
 
-/// Runs SM-E on one machine in the greedy order
-/// ([`MatchingOrder::greedy_from`]) from the plan's start vertex, counting
-/// only; see [`run_sme_in_order`].
+/// Runs SM-E on one machine as a served query does, counting only: in the
+/// order [`choose_descent_order`] measures as cheaper on this machine, then
+/// [`run_sme_in_order`]. Its cost therefore includes the order sample (at
+/// most two orders over 128 start candidates each), which a resident
+/// machine pays once per pattern and keeps.
 pub fn run_sme(
     local: &LocalPartition,
     pattern: &Pattern,
@@ -55,7 +60,7 @@ pub fn run_sme(
     enabled: bool,
     exec: &ExecConfig,
 ) -> SmeResult {
-    let order = MatchingOrder::greedy_from(pattern, plan.start_vertex());
+    let order = choose_descent_order(local, pattern, plan);
     run_sme_in_order(local, pattern, &order, enabled, false, exec)
 }
 
@@ -107,6 +112,7 @@ pub fn run_sme_in_order(
             remaining_candidates: remote_cands,
             estimator: SpaceEstimator::fallback(avg_degree, pattern.vertex_count()),
             trie_nodes: 0,
+            intersect: IntersectStats::default(),
         };
     }
 
@@ -129,7 +135,7 @@ pub fn run_sme_in_order(
     let (unit_results, _) = parallel_map(&unit_exec, &units, |_, _, unit| {
         let mut embeddings: Vec<Vec<VertexId>> = Vec::new();
         let mut count = 0u64;
-        let nodes = match_below(graph, &rest, start, unit, sink, |dv, done| {
+        let (nodes, intersect) = match_below(graph, &rest, start, unit, sink, |dv, done| {
             count += done.len() as u64;
             if collect {
                 embeddings.extend((0..done.len()).map(|i| {
@@ -142,16 +148,18 @@ pub fn run_sme_in_order(
                 }));
             }
         });
-        (embeddings, count, nodes)
+        (embeddings, count, nodes, intersect)
     });
 
     // Merge in unit order: identical to one sequential sweep.
     let mut embeddings = Vec::new();
     let (mut count, mut nodes) = (0, 0);
-    for (unit_embeddings, unit_count, unit_nodes) in unit_results {
+    let mut intersect = IntersectStats::default();
+    for (unit_embeddings, unit_count, unit_nodes, unit_intersect) in unit_results {
         embeddings.extend(unit_embeddings);
         count += unit_count;
         nodes += unit_nodes;
+        intersect.absorb(&unit_intersect);
     }
 
     SmeResult {
@@ -161,13 +169,14 @@ pub fn run_sme_in_order(
         remaining_candidates: remote_cands,
         estimator: SpaceEstimator::from_sme(nodes, local_cands.len()),
         trie_nodes: nodes,
+        intersect,
     }
 }
 
 /// Matches `rest` on `graph` below each of `candidates` (dense ids) as the
 /// start vertex `start`, with one [`Expander`], and hands each candidate's
 /// extensions to `found`. Returns the search nodes visited, one per start
-/// candidate included.
+/// candidate included, and the expander's intersection counters.
 fn match_below(
     graph: &Graph,
     rest: &UnitExpansion<'_>,
@@ -175,7 +184,7 @@ fn match_below(
     candidates: &[VertexId],
     sink: Sink,
     mut found: impl FnMut(VertexId, &ExtensionBuffer),
-) -> u64 {
+) -> (u64, IntersectStats) {
     let mut expander = Expander::new();
     // the start vertex and the rest
     let mut f = vec![None; rest.leaves().len() + 1];
@@ -186,7 +195,7 @@ fn match_below(
             .expect("a whole graph knows every adjacency list");
         found(dv, done);
     }
-    candidates.len() as u64 + expander.search_nodes()
+    (candidates.len() as u64 + expander.search_nodes(), expander.intersect_stats().clone())
 }
 
 /// Start candidates each order enumerates when [`choose_descent_order`]
@@ -219,7 +228,7 @@ pub fn choose_descent_order(
     let symmetry = SymmetryBreaking::new(pattern);
     let nodes = |order: &MatchingOrder| {
         let rest = UnitExpansion::from_order(pattern, &symmetry, order.order()[1..].to_vec());
-        match_below(local.owned_graph(), &rest, start, &sample, Sink::Count, |_, _| {})
+        match_below(local.owned_graph(), &rest, start, &sample, Sink::Count, |_, _| {}).0
     };
     if nodes(&greedy) < nodes(&plan_order) {
         greedy
@@ -236,7 +245,7 @@ fn dense_ids(local: &LocalPartition, owned: &[VertexId]) -> Vec<VertexId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rads_graph::generators::{community_graph, grid_2d};
+    use rads_graph::generators::{barabasi_albert, community_graph, grid_2d};
     use rads_graph::queries;
     use rads_partition::{BfsPartitioner, PartitionedGraph, Partitioner, Partitioning};
     use rads_plan::{best_plan, PlannerConfig};
@@ -347,6 +356,7 @@ mod tests {
                 assert_eq!(parallel.embeddings, sequential.embeddings, "machine {m}");
                 assert_eq!(parallel.count, sequential.count);
                 assert_eq!(parallel.trie_nodes, sequential.trie_nodes);
+                assert_eq!(parallel.intersect, sequential.intersect);
                 assert_eq!(parallel.local_candidates, sequential.local_candidates);
                 assert_eq!(parallel.remaining_candidates, sequential.remaining_candidates);
                 assert_eq!(parallel.estimator, sequential.estimator);
@@ -410,9 +420,10 @@ mod tests {
                 let rest = UnitExpansion::from_order(pattern, &symmetry, rest);
                 let mut count = 0;
                 let graph = local.owned_graph();
-                let nodes = match_below(graph, &rest, start, &candidates, Sink::Count, |_, done| {
-                    count += done.len()
-                });
+                let (nodes, _) =
+                    match_below(graph, &rest, start, &candidates, Sink::Count, |_, done| {
+                        count += done.len()
+                    });
                 (nodes, count)
             };
             let chosen = choose_descent_order(local, pattern, &plan);
@@ -426,5 +437,33 @@ mod tests {
             // either order finds the same embeddings
             assert_eq!(plan_count, greedy_count, "{}", query.name);
         }
+    }
+
+    /// `run_sme` runs the phase in the order a served query runs it, which
+    /// on this graph is not always the greedy one. One machine owns it all,
+    /// so every start candidate is SM-E's.
+    #[test]
+    fn run_sme_runs_the_chosen_order() {
+        let g = barabasi_albert(60, 3, 7);
+        let pg = PartitionedGraph::build(&g, Partitioning::single_machine(g.vertex_count()));
+        let exec = ExecConfig::sequential();
+        let mut not_greedy = 0;
+        let mut patterns = queries::standard_query_set();
+        patterns.extend(queries::clique_query_set());
+        for query in patterns {
+            let pattern = &query.pattern;
+            let plan = best_plan(pattern, &PlannerConfig::default());
+            let greedy = MatchingOrder::greedy_from(pattern, plan.start_vertex());
+            for local in pg.locals() {
+                let chosen = choose_descent_order(local, pattern, &plan);
+                not_greedy += usize::from(chosen != greedy);
+                let served = run_sme_in_order(local, pattern, &chosen, true, false, &exec);
+                let timed = run_sme(local, pattern, &plan, true, &exec);
+                assert_eq!(timed.count, served.count, "{}", query.name);
+                assert_eq!(timed.trie_nodes, served.trie_nodes, "{}", query.name);
+                assert_eq!(timed.intersect, served.intersect, "{}", query.name);
+            }
+        }
+        assert!(not_greedy > 0, "the greedy order won everywhere");
     }
 }

@@ -411,11 +411,13 @@ mod tests {
     use super::*;
     use rads_graph::generators::{barabasi_albert, community_graph, grid_2d};
     use rads_graph::{queries, Graph};
+    use crate::sme::run_sme_in_order;
+    use rads_exec::ExecConfig;
     use rads_partition::{
         BfsPartitioner, HashPartitioner, LabelPropagationPartitioner, PartitionedGraph,
-        Partitioner,
+        Partitioner, Partitioning,
     };
-    use rads_single::count_embeddings;
+    use rads_single::{count_embeddings, MatchingOrder};
 
     fn cluster_for(graph: &Graph, machines: usize, partitioner: &dyn Partitioner) -> Cluster {
         let partitioning = partitioner.partition(graph, machines);
@@ -777,5 +779,25 @@ mod tests {
         let outcome = run_rads(&cluster, &q, &RadsConfig::default());
         assert_eq!(outcome.total_embeddings, count_embeddings(&g, &q));
         assert_eq!(outcome.traffic.total_bytes, 0);
+    }
+
+    /// On a single machine SM-E finds every embedding, so the run's
+    /// intersection counters are SM-E's own: those of the phase run alone
+    /// in the order the machine chose.
+    #[test]
+    fn sme_intersection_counters_reach_the_run_stats() {
+        let g = community_graph(3, 15, 0.35, 0.03, 5);
+        let partitioning = Partitioning::single_machine(g.vertex_count());
+        let cluster = Cluster::new(Arc::new(PartitionedGraph::build(&g, partitioning)));
+        let pattern = queries::c1();
+        let outcome = run_rads(&cluster, &pattern, &RadsConfig::with_workers(1));
+        let stats = &outcome.per_machine[0].stats;
+        assert_eq!(outcome.total_embeddings, count_embeddings(&g, &pattern));
+        assert_eq!(stats.sme_embeddings, outcome.total_embeddings);
+        let order = MatchingOrder::from_order(&pattern, stats.descent_order.clone());
+        let local = cluster.partitioned().local(0);
+        let sme = run_sme_in_order(local, &pattern, &order, true, false, &ExecConfig::sequential());
+        assert!(sme.intersect.kernel_calls > 0);
+        assert_eq!(stats.intersect, sme.intersect);
     }
 }

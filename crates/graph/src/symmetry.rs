@@ -131,7 +131,10 @@ impl SymmetryBreaking {
     /// involving `u` allow it, given the partial assignment `assigned`:
     /// `lo` is the largest `f(a)` over matched `a` with `f(a) < f(u)`, `hi`
     /// the smallest `f(b)` over matched `b` with `f(u) < f(b)`, and either is
-    /// `None` when no such constraint has a matched endpoint.
+    /// `None` when no such constraint has a matched endpoint. For every `v`,
+    /// [`check_partial`](Self::check_partial)`(u, v, assigned)` holds exactly
+    /// when `v` lies inside the interval, so a caller may cut a sorted
+    /// candidate list to it in place of checking each candidate.
     pub fn bounds(
         &self,
         u: PatternVertex,
@@ -322,25 +325,51 @@ mod tests {
         }
     }
 
+    /// Every injective assignment of distinct even ids to the vertices in
+    /// the bit set `matched`, the rest unmatched.
+    fn partial_assignments(n: usize, matched: u32) -> Vec<Vec<Option<VertexId>>> {
+        let vertices: Vec<usize> = (0..n).filter(|&w| matched & (1 << w) != 0).collect();
+        permutations(vertices.len())
+            .into_iter()
+            .map(|perm| {
+                let mut assigned = vec![None; n];
+                for (&w, &rank) in vertices.iter().zip(&perm) {
+                    assigned[w] = Some(2 * rank);
+                }
+                assigned
+            })
+            .collect()
+    }
+
+    /// The interval of `bounds` is the only symmetry check the expansion
+    /// kernel makes, so it must admit exactly what `check_partial` admits
+    /// under every partial assignment the kernel can meet. Each set of
+    /// matched vertices is tried, which covers every prefix of every
+    /// matching order (the forward, the reverse and any plan's), with the
+    /// matched ids in every relative order and the candidate in every gap
+    /// between them.
     #[test]
     fn bounds_admit_exactly_what_partial_checks_admit() {
-        for p in [queries::q1(), queries::q8(), queries::c1()] {
-            let sb = SymmetryBreaking::new(&p);
-            let n = p.vertex_count();
-            // every vertex but `u` matched, to distinct even ids, in a few orders
-            for u in 0..n {
-                for shift in 0..n {
-                    let assigned: Vec<Option<VertexId>> = (0..n)
-                        .map(|w| (w != u).then_some(2 * ((w + shift) % n) as VertexId))
-                        .collect();
-                    let (lo, hi) = sb.bounds(u, &assigned);
-                    for v in 0..2 * n as VertexId {
-                        let inside = lo.is_none_or(|lo| v > lo) && hi.is_none_or(|hi| v < hi);
-                        let checked = sb.check_partial(u, v, &assigned);
-                        assert_eq!(inside, checked, "u {u}, v {v}, {assigned:?}");
+        let mut patterns = queries::standard_query_set();
+        patterns.extend(queries::clique_query_set());
+        for query in patterns {
+            let (name, sb) = (query.name, SymmetryBreaking::new(&query.pattern));
+            let n = query.pattern.vertex_count();
+            let mut cut = 0;
+            for matched in 0..1u32 << n {
+                for assigned in partial_assignments(n, matched) {
+                    for u in (0..n).filter(|&u| matched & (1 << u) == 0) {
+                        let (lo, hi) = sb.bounds(u, &assigned);
+                        for v in 0..=2 * n as VertexId {
+                            let inside = lo.is_none_or(|lo| v > lo) && hi.is_none_or(|hi| v < hi);
+                            let checked = sb.check_partial(u, v, &assigned);
+                            assert_eq!(inside, checked, "{name}: u {u}, v {v}, {assigned:?}");
+                            cut += usize::from(!inside);
+                        }
                     }
                 }
             }
+            assert_eq!(cut > 0, !sb.pairs().is_empty(), "{name}");
         }
     }
 
